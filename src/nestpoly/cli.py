@@ -60,10 +60,28 @@ def _read_forest(path: str):
         raise ParseError(
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
-    rows = doc.get("forest")
+    rows = doc.get("forest") if isinstance(doc, dict) else None
     if not isinstance(rows, list):
         raise SemanticError('forest document must contain a "forest" array')
-    return NestingForest(parent={row["id"]: row["parent"] for row in rows})
+    parent = {}
+    for i, row in enumerate(rows):
+        if not (
+            isinstance(row, dict)
+            and isinstance(row.get("id"), str)
+            and "parent" in row
+            and (row["parent"] is None or isinstance(row["parent"], str))
+        ):
+            raise SemanticError(
+                f'forest row #{i} needs a string "id" and a "parent" '
+                f"that is an id or null"
+            )
+        parent[row["id"]] = row["parent"]
+    for pid, par in parent.items():
+        if par is not None and par not in parent:
+            raise SemanticError(
+                f"parent {par!r} of {pid!r} is not in the forest"
+            )
+    return NestingForest(parent=parent)
 
 
 def _write(path: Optional[str], text: str) -> None:
@@ -175,7 +193,12 @@ def cmd_render(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",") if s]
+    try:
+        sizes = [int(s) for s in args.sizes.split(",") if s]
+    except ValueError as exc:
+        raise SemanticError(
+            f"--sizes must be comma-separated integers: {args.sizes!r}"
+        ) from exc
     rows = bench_mod.run_benchmark(
         sizes,
         shape=args.shape,

@@ -37,6 +37,17 @@ class OverlapDetected(NestpolyError):
     """Two polygons were found to overlap in their interiors."""
 
 
+class CoincidentSegments(OverlapDetected):
+    """Segments of two polygons tie completely in the order at abscissa x."""
+
+    def __init__(self, id_a: str, id_b: str, x):
+        super().__init__(
+            f"segments of polygons {id_a!r} and {id_b!r} coincide at x={x}"
+        )
+        self.polygon_ids = (id_a, id_b)
+        self.x = x
+
+
 class ParityInconsistency(NestpolyError):
     """Side-of-interior parities cannot be assigned consistently.
 

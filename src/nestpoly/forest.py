@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
+
+from .errors import ContainmentCycle
 
 
 @dataclass
@@ -33,15 +35,23 @@ class NestingForest:
         return d
 
     def depths(self) -> Dict[str, int]:
+        """Depth of every polygon, in O(m) whatever the nesting depth.
+
+        Raises ContainmentCycle when the parent links form a cycle.
+        """
         memo: Dict[str, int] = {}
-
-        def walk(pid: str) -> int:
-            if pid in memo:
-                return memo[pid]
-            par = self.parent[pid]
-            memo[pid] = 0 if par is None else walk(par) + 1
-            return memo[pid]
-
         for pid in self.parent:
-            walk(pid)
+            chain = []
+            cur = pid
+            while cur is not None and cur not in memo:
+                chain.append(cur)
+                if len(chain) > len(self.parent):
+                    raise ContainmentCycle(
+                        f"parent links of {pid!r} form a cycle"
+                    )
+                cur = self.parent[cur]
+            d = -1 if cur is None else memo[cur]
+            for node in reversed(chain):
+                d += 1
+                memo[node] = d
         return memo

@@ -3,15 +3,18 @@
 All arithmetic is exact. Coordinates are either Python ints or
 fractions.Fraction values; the two interoperate freely, and integer inputs
 stay integers so the common all-integer case runs on fast int arithmetic.
+Each Polygon records the common denominator of its coordinates, so that a
+whole instance can be rescaled to ints (see `rescaled`).
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
-from typing import Iterable, NamedTuple, Sequence, Tuple, Union
+from typing import Dict, Iterable, NamedTuple, Sequence, Tuple, Union
 
 from .errors import (
     DegenerateAllCollinear,
@@ -134,13 +137,7 @@ def x_interval(subject, kind: str = HALF_OPEN) -> XInterval:
 
 def shoelace_area(vertices: Sequence[Point]) -> Coord:
     """Unsigned area of the polygon with the given vertex cycle."""
-    total = 0
-    n = len(vertices)
-    for i in range(n):
-        p = vertices[i]
-        q = vertices[(i + 1) % n]
-        total += p.x * q.y - q.x * p.y
-    return _div2(abs(total))
+    return _div2(abs(signed_area2(vertices)))
 
 
 def signed_area2(vertices: Sequence[Point]) -> Coord:
@@ -162,7 +159,7 @@ def _div2(value: Coord) -> Coord:
     return _normalize(value / 2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Polygon:
     """Simple polygon given as a vertex cycle; build via make_polygon."""
 
@@ -172,6 +169,8 @@ class Polygon:
     area: Coord
     x_min: Coord
     x_max: Coord
+    # Least common denominator of all coordinates; 1 when all are ints.
+    denominator: int = 1
 
     @property
     def x_extent(self) -> XInterval:
@@ -204,11 +203,45 @@ def make_polygon(poly_id: str, vertices: Iterable) -> Polygon:
         raise DegenerateAllCollinear(f"polygon {poly_id!r}: zero area")
     edges = tuple(Edge(pts[i], pts[(i + 1) % n]) for i in range(n))
     xs = [p.x for p in pts]
+    twice_area = signed_area2(pts)
+    # Every coordinate enters a product of the shoelace sum, and a Fraction
+    # operand makes the whole sum a Fraction: an int sum means int input.
+    if isinstance(twice_area, int):
+        denominator = 1
+    else:
+        denominator = math.lcm(*(c.denominator for p in pts for c in p))
     return Polygon(
         id=poly_id,
         vertices=tuple(pts),
         edges=edges,
-        area=shoelace_area(pts),
+        area=_div2(abs(twice_area)),
         x_min=min(xs),
         x_max=max(xs),
+        denominator=denominator,
+    )
+
+
+def rescaled(polygon: Polygon, factor: int, memo: Dict[Coord, int]) -> Polygon:
+    """Copy of the polygon with every coordinate multiplied by factor.
+
+    factor must be a multiple of polygon.denominator, so every coordinate of
+    the copy is an int. memo maps input coordinates to scaled ones; sharing
+    it across the polygons of an instance scales each distinct value once.
+    """
+
+    def scale(c: Coord) -> int:
+        s = memo.get(c)
+        if s is None:
+            s = memo[c] = c.numerator * (factor // c.denominator)
+        return s
+
+    pts = [Point(scale(x), scale(y)) for x, y in polygon.vertices]
+    n = len(pts)
+    return Polygon(
+        id=polygon.id,
+        vertices=tuple(pts),
+        edges=tuple(Edge(pts[i], pts[(i + 1) % n]) for i in range(n)),
+        area=_normalize(polygon.area * (factor * factor)),
+        x_min=memo[polygon.x_min],
+        x_max=memo[polygon.x_max],
     )

@@ -40,6 +40,7 @@ def parse_instance(text) -> List[Polygon]:
         raise SemanticError('"polygons" must be a non-empty list')
     polygons: List[Polygon] = []
     seen = set()
+    parsed: Dict[str, Coord] = {}
     for i, item in enumerate(items):
         if not isinstance(item, dict):
             raise SemanticError(f"polygon #{i} is not an object")
@@ -59,7 +60,9 @@ def parse_instance(text) -> List[Polygon]:
                     f"polygon {pid!r}: vertex #{j} must be an [x, y] pair"
                 )
             try:
-                pts.append((_parse_coord(v[0]), _parse_coord(v[1])))
+                pts.append(
+                    (_parse_coord(v[0], parsed), _parse_coord(v[1], parsed))
+                )
             except ValueError as exc:
                 raise SemanticError(
                     f"polygon {pid!r}: vertex #{j}: {exc}"
@@ -71,8 +74,20 @@ def parse_instance(text) -> List[Polygon]:
     return polygons
 
 
-def _parse_coord(value) -> Coord:
-    if isinstance(value, bool) or isinstance(value, float):
+def _parse_coord(value, parsed: Dict[str, Coord]) -> Coord:
+    """Coordinate from a JSON value; parsed caches the decimal strings.
+
+    Equal strings thus share one Fraction, and each is parsed only once.
+    """
+    cls = value.__class__
+    if cls is int:
+        return value
+    if cls is str:
+        c = parsed.get(value)
+        if c is None:
+            c = parsed[value] = coord(value)
+        return c
+    if cls is bool or cls is float:
         raise ValueError(
             "coordinates must be integers or finite-decimal strings"
         )

@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 from typing import List
 
-from .errors import OverlapDetected
+from .errors import CoincidentSegments, OverlapDetected
 from .segments import MaxSegment, y_at
 
 
@@ -63,7 +63,8 @@ def cmp_core(a: MaxSegment, ea, b: MaxSegment, eb, xi) -> int:
     """Three-way order of two distinct live segments given their edges at xi.
 
     Returns -1 when a comes first (a runs above b, or ties break in a's
-    favour), +1 otherwise. Raises OverlapDetected on a complete tie.
+    favour), +1 otherwise. Raises CoincidentSegments, an OverlapDetected,
+    on a complete tie.
     """
     c = cmp_edges_at(ea, eb, xi)
     if c:
@@ -79,10 +80,7 @@ def cmp_core(a: MaxSegment, ea, b: MaxSegment, eb, xi) -> int:
         if pa == 1:
             return -1 if a.area > b.area else 1
         return -1 if a.area < b.area else 1
-    raise OverlapDetected(
-        f"segments of polygons {a.polygon_id!r} and {b.polygon_id!r} "
-        f"coincide at x={xi}"
-    )
+    raise CoincidentSegments(a.polygon_id, b.polygon_id, xi)
 
 
 def cmp_at(xi, a: MaxSegment, b: MaxSegment) -> Rel:

@@ -24,7 +24,7 @@ from .geometry import (
 )
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class MaxSegment:
     """Maximal x-monotone boundary segment of one polygon.
 

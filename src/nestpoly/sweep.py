@@ -10,15 +10,22 @@ segments never changes, so stored order stays valid as the sweep advances.
 
 from __future__ import annotations
 
+import math
 import os
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from fractions import Fraction
 from functools import cmp_to_key
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .errors import InternalOrderViolation, OutOfDomain, OverlapDetected
+from .errors import (
+    CoincidentSegments,
+    InternalOrderViolation,
+    OutOfDomain,
+    SemanticError,
+)
 from .forest import NestingForest
-from .geometry import Coord, Polygon
+from .geometry import Coord, Polygon, _normalize, rescaled
 from .ordering import cmp_core, cmp_slopes
 from .segments import MaxSegment, assign_parities, decompose
 
@@ -126,10 +133,7 @@ class SweepStatus:
             if sa.parity == 1:
                 return -1 if sa.area > sb.area else 1
             return -1 if sa.area < sb.area else 1
-        raise OverlapDetected(
-            f"segments of polygons {sa.polygon_id!r} and {sb.polygon_id!r} "
-            f"coincide at x={xi}"
-        )
+        raise CoincidentSegments(sa.polygon_id, sb.polygon_id, xi)
 
     def insert(self, segment: MaxSegment, xi) -> StatusEntry:
         self.xi = xi
@@ -250,7 +254,7 @@ def status_predecessor(
     return status.predecessor(entry)
 
 
-@dataclass
+@dataclass(slots=True)
 class Event:
     kind: str  # "insert" or "remove"
     xi: Coord
@@ -330,21 +334,51 @@ def nesting_forest_with_stats(
     """Compute immediate containers for overlap-free, possibly touching
     polygons in O(n + N log N).
 
-    With debug assertions on (argument or NESTPOLY_DEBUG_ASSERT=1) the
-    status order is re-verified after every insertion; this makes the sweep
-    quadratic and is meant for tests only.
+    When some coordinate is not an int, the sweep runs on a copy of the
+    instance multiplied by the least common denominator of all coordinates,
+    so every comparison is on ints; the forest does not change under
+    positive scaling, and error witnesses are given in input units.
+
+    Raises SemanticError when two polygons share an id. With debug
+    assertions on (argument or NESTPOLY_DEBUG_ASSERT=1) the status order is
+    re-verified after every insertion; this makes the sweep quadratic and is
+    meant for tests only.
     """
     if debug is None:
         debug = os.environ.get(DEBUG_ENV, "") == "1"
 
+    scale = math.lcm(*(poly.denominator for poly in polygons))
+    memo: Dict[Coord, int] = {}
+    seen: Set[str] = set()
     segments: List[MaxSegment] = []
     n_vertices = 0
     for poly in polygons:
+        if poly.id in seen:
+            raise SemanticError(f"duplicate polygon id {poly.id!r}")
+        seen.add(poly.id)
+        if scale != 1:
+            poly = rescaled(poly, scale, memo)
         deco = assign_parities(poly, decompose(poly))
         segments.extend(deco.segments)
         n_vertices += len(poly.vertices)
 
-    events = build_events(segments)
+    try:
+        events = build_events(segments)
+        parent = _sweep(events, debug)
+    except CoincidentSegments as exc:
+        if scale == 1:
+            raise
+        x = _normalize(Fraction(exc.x, scale))
+        raise CoincidentSegments(*exc.polygon_ids, x) from None
+
+    stats = SweepStats(
+        m=len(parent), n=n_vertices, N=len(segments), events=len(events)
+    )
+    return NestingForest(parent), stats
+
+
+def _sweep(events: List[Event], debug: bool) -> Dict[str, Optional[str]]:
+    """Run the status through the events; immediate container per polygon."""
     status = SweepStatus()
     parent: Dict[str, Optional[str]] = {}
 
@@ -369,8 +403,4 @@ def nesting_forest_with_stats(
                 parent[pid] = parent[pred.segment.polygon_id]
         if debug:
             status.assert_consistent()
-
-    stats = SweepStats(
-        m=len(parent), n=n_vertices, N=len(segments), events=len(events)
-    )
-    return NestingForest(parent), stats
+    return parent

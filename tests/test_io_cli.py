@@ -190,6 +190,22 @@ def test_cli_render(tmp_path):
     assert "<svg" in svg.read_text()
 
 
+def test_cli_render_malformed_forest_rows(tmp_path, capsys):
+    inst = write(tmp_path, "in.json", TWO_SQUARES)
+    malformed = ([{"id": "O"}], [{"parent": None}], [{"id": "O", "parent": "Z"}])
+    for rows in malformed:
+        forest = write(tmp_path, "forest.json", json.dumps({"forest": rows}))
+        assert main(["render", "-i", inst, "--forest", forest]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_cli_bench_sizes_not_integers(capsys):
+    assert main(["bench", "--sizes", "abc"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_cli_bench_csv(tmp_path):
     out = tmp_path / "bench.csv"
     assert main(

@@ -1,12 +1,23 @@
 """Event construction, sweep status, and the nesting forest itself."""
 
+import json
+from fractions import Fraction
+
 import pytest
 
+import nestpoly.sweep
 from nestpoly import (
+    ContainmentCycle,
     NestingForest,
     OverlapDetected,
+    SemanticError,
+    brute_force_forest,
     make_polygon,
     nesting_forest,
+    parse_instance,
+    serialize_forest,
+    serialize_instance,
+    transform,
 )
 from nestpoly.errors import OutOfDomain
 from nestpoly.sweep import (
@@ -181,3 +192,92 @@ def test_forest_api():
     assert forest.children()["a"] == ["b", "c"]
     assert forest.depth("c") == 1
     assert forest.depths() == {"a": 0, "b": 1, "c": 1, "d": 0}
+
+
+def test_forest_rejects_duplicate_ids():
+    polygons = [square("A", 0, 0, 2), square("A", 5, 0, 2)]
+    with pytest.raises(SemanticError, match="duplicate polygon id 'A'"):
+        nesting_forest(polygons)
+
+
+def test_depths_of_deep_chain_listed_children_first():
+    ids = [f"c{i:05d}" for i in range(2000)]
+    parent = {pid: par for pid, par in zip(ids[1:], ids)}
+    parent = dict(reversed(list(parent.items())))
+    parent[ids[0]] = None
+    forest = NestingForest(parent)
+    assert forest.depths() == {pid: i for i, pid in enumerate(ids)}
+    rows = json.loads(serialize_forest(forest))["forest"]
+    assert rows[-1] == {"id": "c01999", "parent": "c01998", "depth": 1999}
+    with pytest.raises(ContainmentCycle):
+        NestingForest({"a": "b", "b": "a"}).depths()
+
+
+def test_decimal_overlap_witness_in_input_units():
+    def cell(pid):
+        corners = [("0.5", "0.5"), ("1.5", "0.5"), ("1.5", "1.25"),
+                   ("0.5", "1.25")]
+        return make_polygon(pid, corners)
+
+    with pytest.raises(OverlapDetected, match=r"coincide at x=1/2$"):
+        nesting_forest([cell("A"), cell("B")])
+
+
+def test_decimal_input_sweeps_on_ints(monkeypatch, small_corpus):
+    received = []
+    original = nestpoly.sweep.build_events
+
+    def spy(segments):
+        received.extend(segments)
+        return original(segments)
+
+    monkeypatch.setattr(nestpoly.sweep, "build_events", spy)
+    polygons = transform(small_corpus[3], scale=Fraction(3, 1000))
+    assert any(p.denominator > 1 for p in polygons)
+    nesting_forest(polygons)
+    assert received
+    coords = [
+        c for s in received for e in s.span_edges for pt in e for c in pt
+    ]
+    assert all(type(c) is int for c in coords)
+
+
+DECIMAL_SCALES = [Fraction(1, 2), Fraction(1, 2**7), Fraction(1, 2**20),
+                  Fraction(3, 1000)]
+
+
+@pytest.mark.parametrize("scale", DECIMAL_SCALES, ids=str)
+def test_decimal_instance_matches_integer_and_oracle(small_corpus, scale):
+    for polygons in small_corpus[:12]:
+        text = serialize_instance(transform(polygons, scale=scale))
+        decimal = parse_instance(text)
+        assert any(p.denominator > 1 for p in decimal)
+        forest = nesting_forest(decimal)
+        assert serialize_forest(forest) == serialize_forest(
+            nesting_forest(polygons)
+        )
+        assert forest.parent == brute_force_forest(decimal).parent
+
+
+def test_layers_accept_fraction_polygons(small_corpus):
+    # The sweep rescales to ints, but its layers still take Fractions.
+    for polygons in small_corpus[:6]:
+        thin = transform(polygons, scale=Fraction(1, 7))
+        events = build_events(all_segments(thin))
+        status = SweepStatus()
+        parent = {}
+        for ev in events:
+            if ev.kind == "remove":
+                status.remove(ev.segment)
+                continue
+            entry = status.insert(ev.segment, ev.xi)
+            if ev.first:
+                pred = status.predecessor(entry)
+                pid = ev.segment.polygon_id
+                if pred is None:
+                    parent[pid] = None
+                elif pred.segment.parity == 1:
+                    parent[pid] = pred.segment.polygon_id
+                else:
+                    parent[pid] = parent[pred.segment.polygon_id]
+        assert parent == nesting_forest(polygons).parent
