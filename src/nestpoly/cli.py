@@ -188,6 +188,12 @@ def cmd_render(args) -> int:
     forest = None
     if args.forest:
         forest = _read_forest(args.forest)
+        missing = [p.id for p in polygons if p.id not in forest.parent]
+        if missing:
+            more = f" and {len(missing) - 1} more" if len(missing) > 1 else ""
+            raise SemanticError(
+                f"forest has no row for polygon {missing[0]!r}{more}"
+            )
     _write(args.output, render_svg(polygons, forest))
     return EXIT_OK
 

@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
-from typing import Dict, Iterable, NamedTuple, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple, Union
 
 from .errors import (
     DegenerateAllCollinear,
@@ -180,28 +180,35 @@ class Polygon:
 def make_polygon(poly_id: str, vertices: Iterable) -> Polygon:
     """Validate a vertex cycle and build an immutable Polygon.
 
-    Raises TooFewVertices, DuplicateConsecutiveVertex, or
+    Each vertex is an (x, y) pair whose coordinates go through coord():
+    ints, Rationals and decimal text are accepted, bools and floats are
+    not. Raises TooFewVertices, DuplicateConsecutiveVertex, or
     DegenerateAllCollinear for inputs that cannot bound an interior.
     Collinear consecutive vertices are permitted.
     """
     pts = []
-    for v in vertices:
-        if isinstance(v, Point):
-            pts.append(Point(coord(v.x), coord(v.y)))
-        else:
-            x, y = v
-            pts.append(Point(coord(x), coord(y)))
+    for x, y in vertices:
+        pts.append(Point(coord(x), coord(y)))
+    return polygon_from_points(poly_id, pts)
+
+
+def polygon_from_points(poly_id: str, pts: List[Point]) -> Polygon:
+    """The checks and build of make_polygon, without the coercion.
+
+    Every coordinate must already be as coord() returns it: an int or a
+    Fraction with denominator > 1.
+    """
     if len(pts) < 3:
         raise TooFewVertices(f"polygon {poly_id!r}: {len(pts)} vertices")
-    n = len(pts)
-    for i in range(n):
-        if pts[i] == pts[(i + 1) % n]:
+    ring = pts[1:] + pts[:1]
+    for i, (p, q) in enumerate(zip(pts, ring)):
+        if p == q:
             raise DuplicateConsecutiveVertex(
-                f"polygon {poly_id!r}: vertex {i} repeats at {pts[i]}"
+                f"polygon {poly_id!r}: vertex {i} repeats at {p}"
             )
     if all(cross(pts[0], pts[1], p) == 0 for p in pts[2:]):
         raise DegenerateAllCollinear(f"polygon {poly_id!r}: zero area")
-    edges = tuple(Edge(pts[i], pts[(i + 1) % n]) for i in range(n))
+    edges = tuple(map(Edge, pts, ring))
     xs = [p.x for p in pts]
     twice_area = signed_area2(pts)
     # Every coordinate enters a product of the shoelace sum, and a Fraction

@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Sequence
 
 from .errors import InputError, ParseError, SemanticError
 from .forest import NestingForest
-from .geometry import Coord, Polygon, coord, make_polygon
+from .geometry import Coord, Point, Polygon, coord, polygon_from_points
 
 
 def parse_instance(text) -> List[Polygon]:
@@ -61,14 +61,16 @@ def parse_instance(text) -> List[Polygon]:
                 )
             try:
                 pts.append(
-                    (_parse_coord(v[0], parsed), _parse_coord(v[1], parsed))
+                    Point(
+                        _parse_coord(v[0], parsed), _parse_coord(v[1], parsed)
+                    )
                 )
             except ValueError as exc:
                 raise SemanticError(
                     f"polygon {pid!r}: vertex #{j}: {exc}"
                 ) from exc
         try:
-            polygons.append(make_polygon(pid, pts))
+            polygons.append(polygon_from_points(pid, pts))
         except InputError as exc:
             raise SemanticError(f"polygon {pid!r}: {exc}") from exc
     return polygons

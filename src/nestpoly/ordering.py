@@ -69,12 +69,30 @@ def cmp_core(a: MaxSegment, ea, b: MaxSegment, eb, xi) -> int:
     c = cmp_edges_at(ea, eb, xi)
     if c:
         return -c
-    c = cmp_slopes(ea, eb)
-    if c:
-        return -c
+    return tie_break(
+        a, ea.b.x - ea.a.x, ea.b.y - ea.a.y,
+        b, eb.b.x - eb.a.x, eb.b.y - eb.a.y,
+        xi,
+    )
+
+
+def tie_break(a: MaxSegment, adx, ady, b: MaxSegment, bdx, bdy, xi) -> int:
+    """Order of two distinct segments that have equal height at xi.
+
+    (adx, ady) and (bdx, bdy) are the directions of their edges at xi, with
+    adx, bdx > 0. The steeper edge runs above just right of xi and comes
+    first; then the segment with interior above it (parity 0); then area:
+    the larger polygon first when both interiors lie below, the smaller
+    first when both lie above.
+    Returns -1 when a comes first, +1 otherwise; raises CoincidentSegments
+    on a complete tie.
+    """
+    lhs = ady * bdx
+    rhs = bdy * adx
+    if lhs != rhs:
+        return -1 if lhs > rhs else 1
     pa, pb = a.parity, b.parity
     if pa != pb:
-        # The segment with interior above (parity 0) comes first.
         return -1 if pa == 0 else 1
     if a.area != b.area:
         if pa == 1:

@@ -42,11 +42,9 @@ class MaxSegment:
     area: Coord
     cyclic_index: int
     parity: Optional[int] = None
+    # Left x of every span edge, built by the first edge_at call that
+    # needs it.
     _span_lefts: Tuple[Coord, ...] = field(default=(), repr=False)
-
-    def __post_init__(self):
-        if not self._span_lefts:
-            self._span_lefts = tuple(e.a.x for e in self.span_edges)
 
     @property
     def x_lo(self) -> Coord:
@@ -70,7 +68,12 @@ class MaxSegment:
             )
         if xi == self.max_v.x:
             return self.span_edges[-1]
-        idx = bisect_right(self._span_lefts, xi) - 1
+        if xi == self.min_v.x:
+            return self.span_edges[0]
+        lefts = self._span_lefts
+        if not lefts:
+            lefts = self._span_lefts = tuple(e.a.x for e in self.span_edges)
+        idx = bisect_right(lefts, xi) - 1
         return self.span_edges[idx]
 
 
@@ -112,20 +115,6 @@ def slope_at(segment: MaxSegment, xi) -> Coord:
     return _normalize(Fraction(num) / Fraction(den))
 
 
-def _edge_dir(e: Edge) -> int:
-    if e.a.x < e.b.x:
-        return 1
-    if e.a.x > e.b.x:
-        return -1
-    return 0
-
-
-def _orient_left_right(edges: Sequence[Edge], direction: int) -> Tuple[Edge, ...]:
-    if direction > 0:
-        return tuple(edges)
-    return tuple(e.reversed() for e in reversed(edges))
-
-
 def decompose(polygon: Polygon) -> SegmentDecomposition:
     """Split the boundary into maximal x-monotone segments.
 
@@ -134,9 +123,12 @@ def decompose(polygon: Polygon) -> SegmentDecomposition:
     runs become connector runs and belong to no segment.
     """
     edges = polygon.edges
+    verts = polygon.vertices
     n = len(edges)
-    dirs = [_edge_dir(e) for e in edges]
-    nonvert = [i for i in range(n) if dirs[i] != 0]
+    xs = [p.x for p in verts]
+    # x-direction of edge i: 1 rightwards, -1 leftwards, 0 vertical.
+    dirs = [(a < b) - (a > b) for a, b in zip(xs, xs[1:] + xs[:1])]
+    nonvert = [i for i, d in enumerate(dirs) if d]
     # A closed cycle cannot consist of vertical edges only (all x equal
     # would mean all vertices collinear, rejected at construction).
     assert nonvert, "polygon with non-vertical edges expected"
@@ -155,36 +147,46 @@ def decompose(polygon: Polygon) -> SegmentDecomposition:
         )
 
     runs: List[List[int]] = []
-    order = nonvert[start:] + nonvert[:start]
-    for idx in order:
-        if runs and dirs[runs[-1][-1]] == dirs[idx]:
+    run_dir = 0
+    for idx in nonvert[start:] + nonvert[:start]:
+        if dirs[idx] == run_dir:
             runs[-1].append(idx)
         else:
             runs.append([idx])
+            run_dir = dirs[idx]
 
+    # Doubled cycles, so that every cyclic run is one slice.
+    edges2 = edges + edges
+    verts2 = verts + verts
     segments: List[MaxSegment] = []
     connectors: List[Tuple[Edge, ...]] = []
     m = len(runs)
     for r, run in enumerate(runs):
         first, last = run[0], run[-1]
-        span = (last - first) % n
-        seg_edges = [edges[(first + j) % n] for j in range(span + 1)]
-        direction = dirs[first]
-        oriented = _orient_left_right(seg_edges, direction)
-        span_edges = tuple(e for e in oriented if not e.is_vertical)
-        seg = MaxSegment(
-            polygon_id=polygon.id,
-            edges=oriented,
-            span_edges=span_edges,
-            min_v=oriented[0].a,
-            max_v=oriented[-1].b,
-            area=polygon.area,
-            cyclic_index=r,
+        stop = first + (last - first) % n + 1
+        if dirs[first] > 0:
+            oriented = edges2[first:stop]
+        else:
+            pts = verts2[first:stop + 1]
+            oriented = tuple(map(Edge, pts[:0:-1], pts[-2::-1]))
+        if len(oriented) == len(run):
+            span_edges = oriented
+        else:
+            span_edges = tuple(e for e in oriented if e.a.x != e.b.x)
+        segments.append(
+            MaxSegment(
+                polygon_id=polygon.id,
+                edges=oriented,
+                span_edges=span_edges,
+                min_v=oriented[0].a,
+                max_v=oriented[-1].b,
+                area=polygon.area,
+                cyclic_index=r,
+            )
         )
-        segments.append(seg)
         next_first = runs[(r + 1) % m][0]
         gap = (next_first - last - 1) % n
-        connectors.append(tuple(edges[(last + 1 + j) % n] for j in range(gap)))
+        connectors.append(edges2[last + 1:last + 1 + gap])
 
     return SegmentDecomposition(
         polygon_id=polygon.id,

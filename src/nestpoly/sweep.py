@@ -26,38 +26,43 @@ from .errors import (
 )
 from .forest import NestingForest
 from .geometry import Coord, Polygon, _normalize, rescaled
-from .ordering import cmp_core, cmp_slopes
+from .ordering import cmp_core, tie_break
 from .segments import MaxSegment, assign_parities, decompose
 
 DEBUG_ENV = "NESTPOLY_DEBUG_ASSERT"
 
 
 class StatusEntry:
-    """A resident segment plus its forward-only current-edge cursor."""
+    """A live segment: its forward-only current-edge cursor and treap node.
 
-    __slots__ = ("segment", "cursor", "_y_xi", "_y_num", "_y_den")
+    ax, ay, dx, dy and end cache the current edge: its left end, its
+    direction (dx > 0) and the abscissa of its right end. They change only
+    when advance_current_edge moves the cursor. prio, left, right and par
+    link the entry into a SweepStatus.
+    """
+
+    __slots__ = (
+        "segment", "cursor", "ax", "ay", "dx", "dy", "end",
+        "prio", "left", "right", "par",
+    )
 
     def __init__(self, segment: MaxSegment):
         self.segment = segment
         self.cursor = 0
-        self._y_xi = None
-        self._y_num = None
-        self._y_den = None
+        self._load(segment.span_edges[0])
+        self.prio = None
+        self.left = self.right = self.par = None
+
+    def _load(self, edge) -> None:
+        (ax, ay), (bx, by) = edge
+        self.ax = ax
+        self.ay = ay
+        self.dx = bx - ax
+        self.dy = by - ay
+        self.end = bx
 
     def current_edge(self):
         return self.segment.span_edges[self.cursor]
-
-    def y_num_den(self, xi):
-        """Height at xi on the current edge as (num, den) with den > 0."""
-        if xi == self._y_xi:
-            return self._y_num, self._y_den
-        e = self.segment.span_edges[self.cursor]
-        den = e.b.x - e.a.x
-        num = e.a.y * den + (xi - e.a.x) * (e.b.y - e.a.y)
-        self._y_xi = xi
-        self._y_num = num
-        self._y_den = den
-        return num, den
 
 
 def advance_current_edge(entry: StatusEntry, xi) -> StatusEntry:
@@ -76,8 +81,10 @@ def advance_current_edge(entry: StatusEntry, xi) -> StatusEntry:
     cur = entry.cursor
     while cur < last and edges[cur].b.x <= xi:
         cur += 1
-    entry.cursor = cur
-    if xi < edges[cur].a.x:
+    if cur != entry.cursor:
+        entry.cursor = cur
+        entry._load(edges[cur])
+    if xi < entry.ax:
         raise OutOfDomain(
             f"x={xi} precedes the current edge of a segment of polygon "
             f"{seg.polygon_id!r}"
@@ -85,86 +92,115 @@ def advance_current_edge(entry: StatusEntry, xi) -> StatusEntry:
     return entry
 
 
-class _Node:
-    __slots__ = ("entry", "prio", "left", "right", "par")
+def _after(entry: StatusEntry, hn, hd, other: StatusEntry, xi) -> bool:
+    """Whether entry, of height hn / hd at xi, comes after other at xi."""
+    if other.end <= xi:
+        advance_current_edge(other, xi)
+    dx = other.dx
+    lhs = hn * dx
+    rhs = hd * (other.ay * dx + (xi - other.ax) * other.dy)
+    if lhs != rhs:
+        return lhs < rhs
+    return tie_break(
+        entry.segment, entry.dx, entry.dy, other.segment, dx, other.dy, xi
+    ) > 0
 
-    def __init__(self, entry: StatusEntry, prio: float):
-        self.entry = entry
-        self.prio = prio
-        self.left = None
-        self.right = None
-        self.par = None
+
+def _successor(entry: StatusEntry) -> Optional[StatusEntry]:
+    cur = entry.right
+    if cur is not None:
+        while cur.left is not None:
+            cur = cur.left
+        return cur
+    cur = entry
+    while cur.par is not None and cur.par.right is cur:
+        cur = cur.par
+    return cur.par
 
 
 class SweepStatus:
     """Treap over the live segments, ordered top to bottom at the sweep x.
 
     Insertions compare lazily at the current abscissa; deletions and
-    predecessor queries navigate by node handle and need no comparisons,
+    predecessor queries navigate by entry handle and need no comparisons,
     so no comparison is ever made at a position where a leaving segment's
-    order could have become stale.
+    order could have become stale. An insert at the abscissa of the one
+    before it first tries the slot just below that entry, with at most two
+    comparisons: a polygon's chains that start at one vertex are inserted
+    one after the other, top to bottom.
     """
 
     def __init__(self, seed: int = 0):
-        self.root: Optional[_Node] = None
+        self.root: Optional[StatusEntry] = None
         self.xi = None
         self._rng = random.Random(seed)
-        self._nodes: Dict[int, _Node] = {}
+        self._entries: Dict[int, StatusEntry] = {}
+        self._last: Optional[StatusEntry] = None
 
     def __len__(self) -> int:
-        return len(self._nodes)
-
-    def _cmp_entries(self, a: StatusEntry, b: StatusEntry) -> int:
-        xi = self.xi
-        na, da = a.y_num_den(xi)
-        nb, db = b.y_num_den(xi)
-        lhs = na * db
-        rhs = nb * da
-        if lhs != rhs:
-            # Higher segment first.
-            return -1 if lhs > rhs else 1
-        c = cmp_slopes(a.current_edge(), b.current_edge())
-        if c:
-            return -c
-        sa, sb = a.segment, b.segment
-        if sa.parity != sb.parity:
-            return -1 if sa.parity == 0 else 1
-        if sa.area != sb.area:
-            if sa.parity == 1:
-                return -1 if sa.area > sb.area else 1
-            return -1 if sa.area < sb.area else 1
-        raise CoincidentSegments(sa.polygon_id, sb.polygon_id, xi)
+        return len(self._entries)
 
     def insert(self, segment: MaxSegment, xi) -> StatusEntry:
-        self.xi = xi
         entry = StatusEntry(segment)
         advance_current_edge(entry, xi)
-        node = _Node(entry, self._rng.random())
+        entry.prio = self._rng.random()
+        # Height of the new entry at xi as hn / hd, hd > 0.
+        hd = entry.dx
+        hn = entry.ay * hd + (xi - entry.ax) * entry.dy
         if self.root is None:
-            self.root = node
-        else:
+            self.root = entry
+        elif xi != self.xi or not self._link_below_last(entry, hn, hd, xi):
+            edx, edy = entry.dx, entry.dy
             cur = self.root
             while True:
-                advance_current_edge(cur.entry, xi)
-                if self._cmp_entries(entry, cur.entry) < 0:
+                if cur.end <= xi:
+                    advance_current_edge(cur, xi)
+                dx = cur.dx
+                lhs = hn * dx
+                rhs = hd * (cur.ay * dx + (xi - cur.ax) * cur.dy)
+                if lhs > rhs or (
+                    lhs == rhs
+                    and tie_break(
+                        segment, edx, edy, cur.segment, dx, cur.dy, xi
+                    ) < 0
+                ):
                     if cur.left is None:
-                        cur.left = node
-                        node.par = cur
+                        cur.left = entry
                         break
                     cur = cur.left
                 else:
                     if cur.right is None:
-                        cur.right = node
-                        node.par = cur
+                        cur.right = entry
                         break
                     cur = cur.right
-            while node.par is not None and node.prio < node.par.prio:
-                self._rotate_up(node)
-        self._nodes[id(segment)] = node
+            entry.par = cur
+        while entry.par is not None and entry.prio < entry.par.prio:
+            self._rotate_up(entry)
+        self.xi = xi
+        self._last = entry
+        self._entries[id(segment)] = entry
         return entry
 
+    def _link_below_last(self, entry: StatusEntry, hn, hd, xi) -> bool:
+        """Link entry right after the previous insert if it belongs there."""
+        prev = self._last
+        if prev is None or not _after(entry, hn, hd, prev, xi):
+            return False
+        succ = _successor(prev)
+        if succ is not None and _after(entry, hn, hd, succ, xi):
+            return False
+        if prev.right is None:
+            prev.right = entry
+            entry.par = prev
+        else:
+            succ.left = entry
+            entry.par = succ
+        return True
+
     def remove(self, segment: MaxSegment) -> None:
-        node = self._nodes.pop(id(segment))
+        node = self._entries.pop(id(segment))
+        if node is self._last:
+            self._last = None
         while node.left is not None and node.right is not None:
             child = (
                 node.left
@@ -184,48 +220,45 @@ class SweepStatus:
             par.right = child
         node.left = node.right = node.par = None
 
-    def entry_for(self, segment: MaxSegment) -> StatusEntry:
-        return self._nodes[id(segment)].entry
-
     def predecessor(self, entry: StatusEntry) -> Optional[StatusEntry]:
         """Entry immediately before (above) the given one, or None."""
-        node = self._nodes[id(entry.segment)]
-        if node.left is not None:
-            cur = node.left
+        cur = entry.left
+        if cur is not None:
             while cur.right is not None:
                 cur = cur.right
-            return cur.entry
-        cur = node
+            return cur
+        cur = entry
         while cur.par is not None and cur.par.left is cur:
             cur = cur.par
-        return cur.par.entry if cur.par is not None else None
+        return cur.par
 
     def in_order(self) -> List[StatusEntry]:
         out: List[StatusEntry] = []
-        stack: List[_Node] = []
+        stack: List[StatusEntry] = []
         cur = self.root
         while cur is not None or stack:
             while cur is not None:
                 stack.append(cur)
                 cur = cur.left
             cur = stack.pop()
-            out.append(cur.entry)
+            out.append(cur)
             cur = cur.right
         return out
 
     def assert_consistent(self) -> None:
         """Debug check: stored order matches fresh comparisons at self.xi."""
+        xi = self.xi
         entries = self.in_order()
         for prev, cur in zip(entries, entries[1:]):
-            advance_current_edge(prev, self.xi)
-            advance_current_edge(cur, self.xi)
-            if self._cmp_entries(prev, cur) >= 0:
+            advance_current_edge(cur, xi)
+            hn = cur.ay * cur.dx + (xi - cur.ax) * cur.dy
+            if not _after(cur, hn, cur.dx, prev, xi):
                 raise InternalOrderViolation(
-                    f"status order broken at x={self.xi} between polygons "
+                    f"status order broken at x={xi} between polygons "
                     f"{prev.segment.polygon_id!r} and {cur.segment.polygon_id!r}"
                 )
 
-    def _rotate_up(self, node: _Node) -> None:
+    def _rotate_up(self, node: StatusEntry) -> None:
         par = node.par
         grand = par.par
         if par.left is node:

@@ -58,6 +58,32 @@ def test_make_polygon_rejects_bad_input():
         make_polygon("X", [(0, 0), (1, 1), (2, 2)])
 
 
+def test_make_polygon_coerces_and_rejects_coordinates():
+    p = make_polygon("R", [("0.5", 0), (Fraction(9, 2), 0), (2, "3.0")])
+    assert p.vertices == ((Fraction(1, 2), 0), (Fraction(9, 2), 0), (2, 3))
+    assert isinstance(p.vertices[2].y, int)
+    for bad in (True, 0.5, "1e5", "abc", None):
+        with pytest.raises(ValueError):
+            make_polygon("X", [(0, 0), (4, 0), (bad, 3)])
+
+
+def test_parse_instance_checks_each_coordinate_once(monkeypatch):
+    import nestpoly.geometry
+    from nestpoly import parse_instance
+
+    def no_second_pass(value):
+        raise AssertionError(f"coordinate {value!r} coerced twice")
+
+    monkeypatch.setattr(nestpoly.geometry, "coord", no_second_pass)
+    text = (
+        '{"polygons": [{"id": "T", "vertices": '
+        '[[0, 0], ["4.50", 0], [2, "3.25"]]}]}'
+    )
+    (p,) = parse_instance(text)
+    assert p.vertices == ((0, 0), (Fraction(9, 2), 0), (2, Fraction(13, 4)))
+    assert p.denominator == 4
+
+
 def test_shoelace_unit_square():
     pts = [Point(0, 0), Point(1, 0), Point(1, 1), Point(0, 1)]
     assert shoelace_area(pts) == 1

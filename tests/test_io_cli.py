@@ -1,7 +1,11 @@
 """JSON formats, serialization round-trips, and the command line tool."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +22,8 @@ from nestpoly.forest import NestingForest
 from nestpoly.render import render_svg
 
 from conftest import square
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 TWO_SQUARES = json.dumps(
     {
@@ -198,6 +204,39 @@ def test_cli_render_malformed_forest_rows(tmp_path, capsys):
         assert main(["render", "-i", inst, "--forest", forest]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_cli_render_forest_missing_a_polygon(tmp_path, capsys):
+    inst = write(tmp_path, "in.json", TWO_SQUARES)
+    rows = [{"id": "O", "parent": None, "depth": 0}]
+    forest = write(tmp_path, "forest.json", json.dumps({"forest": rows}))
+    assert main(["render", "-i", inst, "--forest", forest]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: forest has no row for polygon 'I'\n"
+
+
+def run_module(*args, cwd):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC, env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run(
+        [sys.executable, "-m", "nestpoly", *args],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
+def test_python_m_nestpoly(tmp_path):
+    inst = write(tmp_path, "in.json", TWO_SQUARES)
+    done = run_module("nest", "-i", inst, cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    rows = {row["id"]: row for row in json.loads(done.stdout)["forest"]}
+    assert rows["I"]["parent"] == "O"
+    rows = [{"id": "O"}]
+    forest = write(tmp_path, "forest.json", json.dumps({"forest": rows}))
+    done = run_module("render", "-i", inst, "--forest", forest, cwd=tmp_path)
+    assert done.returncode == 2
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
 
 
 def test_cli_bench_sizes_not_integers(capsys):

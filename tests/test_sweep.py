@@ -281,3 +281,120 @@ def test_layers_accept_fraction_polygons(small_corpus):
                 else:
                     parent[pid] = parent[pred.segment.polygon_id]
         assert parent == nesting_forest(polygons).parent
+
+
+# Finger insertion: an insert at the abscissa of the previous one first tries
+# the slot right after that entry.
+
+
+def _check_treap(status):
+    """Parent links, heap order on priorities, and the size all agree."""
+    count = 0
+    stack = [(status.root, None)]
+    while stack:
+        node, par = stack.pop()
+        if node is None:
+            continue
+        count += 1
+        assert node.par is par
+        if par is not None:
+            assert par.prio <= node.prio
+        stack.extend(((node.left, node), (node.right, node)))
+    assert count == len(status)
+
+
+def _apex_fan():
+    # Three triangles whose leftmost vertex is the shared apex (0, 0); B and
+    # C also share the edge from the apex to (8, 1).
+    return [
+        make_polygon("A", [(0, 0), (8, -6), (8, -2)]),
+        make_polygon("B", [(0, 0), (8, 1), (8, 5)]),
+        make_polygon("C", [(0, 0), (8, -1), (8, 1)]),
+    ]
+
+
+def _inserted_top_down(polygons):
+    events = build_events(all_segments(polygons))
+    return [ev.segment for ev in events if ev.kind == "insert"]
+
+
+def test_status_any_insert_order_at_one_abscissa():
+    import itertools
+
+    top_down = _inserted_top_down(_apex_fan())
+    assert [s.polygon_id for s in top_down] == ["B", "B", "C", "C", "A", "A"]
+    for order in itertools.permutations(top_down):
+        status = SweepStatus()
+        for seg in order:
+            status.insert(seg, 0)
+            _check_treap(status)
+        assert [e.segment for e in status.in_order()] == top_down
+
+
+def test_status_bottom_before_top_with_a_third_polygon_between():
+    top_down = _inserted_top_down(_apex_fan())
+    b_top, b_bot, c_top, c_bot, a_top, a_bot = top_down
+    # Bottom chains before top chains, and C interleaved with B.
+    status = SweepStatus()
+    for seg in (b_bot, c_bot, b_top, a_bot, c_top, a_top):
+        status.insert(seg, 0)
+    assert [e.segment for e in status.in_order()] == top_down
+    assert status.predecessor(status.in_order()[2]).segment is b_bot
+    # Removing the latest insert leaves no stale finger behind.
+    status.remove(a_top)
+    status.remove(a_bot)
+    status.insert(a_top, 0)
+    status.remove(a_top)
+    entry = status.insert(a_bot, 0)
+    assert status.predecessor(entry).segment is c_bot
+    assert [e.segment for e in status.in_order()] == top_down[:4] + [a_bot]
+    _check_treap(status)
+
+
+def _quadtree(seed, levels):
+    """Square cells, each split cell tiled exactly by its four quadrants."""
+    import random
+
+    rng = random.Random(seed)
+    side = 2 ** levels
+    cells = [(0, 0, side)]
+    polygons = []
+    while cells:
+        x, y, s = cells.pop()
+        polygons.append(square(f"q{x}_{y}_{s}", x, y, s))
+        if s > 1 and (s == side or rng.random() < 0.4):
+            h = s // 2
+            cells.extend(
+                (x + dx, y + dy, h) for dx in (0, h) for dy in (0, h)
+            )
+    return polygons
+
+
+def _fan_in_a_cone():
+    # The apex fan inside a cone with the same apex, and a second fan whose
+    # triangles have the apex as their rightmost point, so removals and
+    # inserts meet at (0, 0).
+    return [
+        square("O", -20, -20, 40),
+        make_polygon("T", [(0, 0), (9, -9), (9, 9)]),
+        *_apex_fan(),
+        make_polygon("L1", [(0, 0), (-8, 3), (-8, 8)]),
+        make_polygon("L2", [(0, 0), (-8, -3), (-8, 3)]),
+    ]
+
+
+@pytest.mark.parametrize(
+    "polygons",
+    [
+        pytest.param(_apex_fan(), id="apex-fan"),
+        pytest.param(_fan_in_a_cone(), id="fan-in-a-cone"),
+        pytest.param(_quadtree(seed=4, levels=5), id="quadtree-69"),
+        pytest.param(_quadtree(seed=7, levels=5), id="quadtree-121"),
+    ],
+)
+def test_forest_where_local_minima_share_a_point(polygons):
+    from nestpoly import validate
+
+    assert validate(polygons).ok
+    forest = nesting_forest(polygons, debug=True)
+    assert forest.parent == brute_force_forest(polygons).parent
