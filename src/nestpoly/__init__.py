@@ -27,11 +27,9 @@ from .geometry import (
     Edge,
     Point,
     Polygon,
-    XInterval,
     coord,
     make_polygon,
     shoelace_area,
-    x_interval,
 )
 from .instance_io import (
     forest_document,
@@ -49,7 +47,7 @@ from .oracle import (
     validate,
     winding_location,
 )
-from .ordering import Rel, VerticalRel, cmp_at, insertion_cmp, is_below
+from .ordering import Rel, cmp_at
 from .render import render_svg
 from .segments import (
     MaxSegment,
@@ -58,7 +56,6 @@ from .segments import (
     count_N,
     decompose,
     satisfies_property_O,
-    slope_at,
     y_at,
 )
 from .sweep import (
@@ -67,7 +64,6 @@ from .sweep import (
     build_events,
     nesting_forest,
     nesting_forest_with_stats,
-    status_predecessor,
 )
 
 __version__ = "1.0.0"

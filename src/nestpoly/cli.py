@@ -37,7 +37,7 @@ EXIT_PARSE = 2
 def _read_instance(path: str):
     try:
         if path == "-":
-            data = sys.stdin.read()
+            data = sys.stdin.buffer.read()
         else:
             with open(path, "rb") as fh:
                 data = fh.read()
@@ -54,7 +54,7 @@ def _read_forest(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(
@@ -88,8 +88,11 @@ def _write(path: Optional[str], text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ParseError(f"cannot write {path}: {exc}") from exc
 
 
 def _report_violations(report) -> None:
@@ -146,7 +149,7 @@ def cmd_gen(args) -> int:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
                 loaded = json.load(fh)
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ParseError(f"cannot read {args.config}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid config JSON: {exc.msg}") from exc
@@ -205,6 +208,10 @@ def cmd_bench(args) -> int:
         raise SemanticError(
             f"--sizes must be comma-separated integers: {args.sizes!r}"
         ) from exc
+    if any(m <= 0 for m in sizes):
+        raise SemanticError(f"--sizes must be positive: {args.sizes!r}")
+    if args.repeat <= 0:
+        raise SemanticError(f"--repeat must be positive: {args.repeat}")
     rows = bench_mod.run_benchmark(
         sizes,
         shape=args.shape,

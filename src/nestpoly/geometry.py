@@ -1,4 +1,4 @@
-"""Exact planar primitives: coordinates, points, edges, polygons, x-intervals.
+"""Exact planar primitives: coordinates, points, edges and polygons.
 
 All arithmetic is exact. Coordinates are either Python ints or
 fractions.Fraction values; the two interoperate freely, and integer inputs
@@ -73,66 +73,10 @@ class Edge(NamedTuple):
     def right(self) -> Point:
         return self.b if self.a.x <= self.b.x else self.a
 
-    @property
-    def min_end(self) -> Point:
-        """Endpoint with smaller x (ties broken by smaller y)."""
-        return min(self.a, self.b)
-
-    @property
-    def max_end(self) -> Point:
-        return max(self.a, self.b)
-
-    def reversed(self) -> "Edge":
-        return Edge(self.b, self.a)
-
 
 def cross(o: Point, a: Point, b: Point) -> Coord:
     """Signed cross product of (a - o) and (b - o); >0 for a left turn."""
     return (a.x - o.x) * (b.y - o.y) - (a.y - o.y) * (b.x - o.x)
-
-
-HALF_OPEN = "half_open"
-OPEN = "open"
-CLOSED = "closed"
-
-
-@dataclass(frozen=True)
-class XInterval:
-    """Interval between the extreme x-coordinates of a point set."""
-
-    lo: Coord
-    hi: Coord
-    kind: str = HALF_OPEN
-
-    @property
-    def is_empty(self) -> bool:
-        if self.kind == CLOSED:
-            return self.lo > self.hi
-        return self.lo >= self.hi
-
-    def __contains__(self, xi) -> bool:
-        if self.kind == CLOSED:
-            return self.lo <= xi <= self.hi
-        if self.kind == OPEN:
-            return self.lo < xi < self.hi
-        return self.lo <= xi < self.hi
-
-
-def x_interval(subject, kind: str = HALF_OPEN) -> XInterval:
-    """X-extent interval of an edge, polygon, segment, or point iterable."""
-    if kind not in (HALF_OPEN, OPEN, CLOSED):
-        raise ValueError(f"unknown interval kind: {kind!r}")
-    if isinstance(subject, Edge):
-        xs = (subject.a.x, subject.b.x)
-    elif isinstance(subject, Polygon):
-        return XInterval(subject.x_min, subject.x_max, kind)
-    elif hasattr(subject, "min_v") and hasattr(subject, "max_v"):
-        return XInterval(subject.min_v.x, subject.max_v.x, kind)
-    else:
-        xs = [p.x for p in subject]
-        if not xs:
-            raise ValueError("empty point set has no x-interval")
-    return XInterval(min(xs), max(xs), kind)
 
 
 def shoelace_area(vertices: Sequence[Point]) -> Coord:
@@ -171,10 +115,6 @@ class Polygon:
     x_max: Coord
     # Least common denominator of all coordinates; 1 when all are ints.
     denominator: int = 1
-
-    @property
-    def x_extent(self) -> XInterval:
-        return XInterval(self.x_min, self.x_max, HALF_OPEN)
 
 
 def make_polygon(poly_id: str, vertices: Iterable) -> Polygon:

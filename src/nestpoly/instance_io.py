@@ -21,12 +21,17 @@ from .geometry import Coord, Point, Polygon, coord, polygon_from_points
 def parse_instance(text) -> List[Polygon]:
     """Parse an instance document from str or bytes.
 
-    Raises ParseError (with line and column) for malformed JSON and
-    SemanticError for schema violations such as duplicate ids or too few
-    vertices.
+    Raises ParseError for bytes that are not UTF-8 and (with line and
+    column) for malformed JSON, and SemanticError for schema violations
+    such as duplicate ids or too few vertices.
     """
     if isinstance(text, bytes):
-        text = text.decode("utf-8")
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(
+                f"input is not UTF-8: byte {exc.start} cannot be decoded"
+            ) from exc
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

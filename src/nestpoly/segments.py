@@ -19,7 +19,6 @@ from .geometry import (
     Edge,
     Point,
     Polygon,
-    XInterval,
     _normalize,
 )
 
@@ -45,14 +44,6 @@ class MaxSegment:
     # Left x of every span edge, built by the first edge_at call that
     # needs it.
     _span_lefts: Tuple[Coord, ...] = field(default=(), repr=False)
-
-    @property
-    def x_lo(self) -> Coord:
-        return self.min_v.x
-
-    @property
-    def x_hi(self) -> Coord:
-        return self.max_v.x
 
     def edge_at(self, xi) -> Edge:
         """Non-vertical edge associated with xi.
@@ -94,21 +85,6 @@ def y_at(segment: MaxSegment, xi) -> Coord:
     """Height of the segment at abscissa xi (closed domain)."""
     e = segment.edge_at(xi)
     num = e.a.y * (e.b.x - e.a.x) + (xi - e.a.x) * (e.b.y - e.a.y)
-    den = e.b.x - e.a.x
-    if isinstance(num, int) and isinstance(den, int):
-        return _normalize(Fraction(num, den))
-    return _normalize(Fraction(num) / Fraction(den))
-
-
-def slope_at(segment: MaxSegment, xi) -> Coord:
-    """Slope of the edge covering xi; xi must satisfy min x <= xi < max x."""
-    if xi >= segment.max_v.x:
-        raise OutOfDomain(
-            f"x={xi} not in [{segment.min_v.x}, {segment.max_v.x}) "
-            f"of a segment of polygon {segment.polygon_id!r}"
-        )
-    e = segment.edge_at(xi)
-    num = e.b.y - e.a.y
     den = e.b.x - e.a.x
     if isinstance(num, int) and isinstance(den, int):
         return _normalize(Fraction(num, den))

@@ -16,6 +16,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
+from itertools import groupby
+from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .errors import (
@@ -26,7 +28,6 @@ from .errors import (
 )
 from .forest import NestingForest
 from .geometry import Coord, Polygon, _normalize, rescaled
-from .ordering import cmp_core, tie_break
 from .segments import MaxSegment, assign_parities, decompose
 
 DEBUG_ENV = "NESTPOLY_DEBUG_ASSERT"
@@ -92,8 +93,42 @@ def advance_current_edge(entry: StatusEntry, xi) -> StatusEntry:
     return entry
 
 
+def tie_break(a: MaxSegment, adx, ady, b: MaxSegment, bdx, bdy, xi) -> int:
+    """Order of two distinct segments that have equal height at xi.
+
+    (adx, ady) and (bdx, bdy) are the directions of their edges at xi, with
+    adx, bdx > 0. The steeper edge runs above just right of xi and comes
+    first; then the segment with interior above it (parity 0); then area:
+    the larger polygon first when both interiors lie below, the smaller
+    first when both lie above.
+    Returns -1 when a comes first, +1 otherwise; raises CoincidentSegments,
+    an OverlapDetected, on a complete tie.
+    """
+    lhs = ady * bdx
+    rhs = bdy * adx
+    if lhs != rhs:
+        return -1 if lhs > rhs else 1
+    pa, pb = a.parity, b.parity
+    if pa != pb:
+        return -1 if pa == 0 else 1
+    if a.area != b.area:
+        if pa == 1:
+            return -1 if a.area > b.area else 1
+        return -1 if a.area < b.area else 1
+    raise CoincidentSegments(a.polygon_id, b.polygon_id, xi)
+
+
+def _height_num(entry: StatusEntry, xi):
+    """Height of entry's current edge at xi, times entry.dx."""
+    return entry.ay * entry.dx + (xi - entry.ax) * entry.dy
+
+
 def _after(entry: StatusEntry, hn, hd, other: StatusEntry, xi) -> bool:
-    """Whether entry, of height hn / hd at xi, comes after other at xi."""
+    """Whether entry, of height hn / hd at xi, comes after other at xi.
+
+    This is the one vertical order of live segments: the higher one comes
+    first, and equal heights go to tie_break.
+    """
     if other.end <= xi:
         advance_current_edge(other, xi)
     dx = other.dx
@@ -146,33 +181,22 @@ class SweepStatus:
         entry.prio = self._rng.random()
         # Height of the new entry at xi as hn / hd, hd > 0.
         hd = entry.dx
-        hn = entry.ay * hd + (xi - entry.ax) * entry.dy
+        hn = _height_num(entry, xi)
         if self.root is None:
             self.root = entry
         elif xi != self.xi or not self._link_below_last(entry, hn, hd, xi):
-            edx, edy = entry.dx, entry.dy
             cur = self.root
             while True:
-                if cur.end <= xi:
-                    advance_current_edge(cur, xi)
-                dx = cur.dx
-                lhs = hn * dx
-                rhs = hd * (cur.ay * dx + (xi - cur.ax) * cur.dy)
-                if lhs > rhs or (
-                    lhs == rhs
-                    and tie_break(
-                        segment, edx, edy, cur.segment, dx, cur.dy, xi
-                    ) < 0
-                ):
-                    if cur.left is None:
-                        cur.left = entry
-                        break
-                    cur = cur.left
-                else:
+                if _after(entry, hn, hd, cur, xi):
                     if cur.right is None:
                         cur.right = entry
                         break
                     cur = cur.right
+                else:
+                    if cur.left is None:
+                        cur.left = entry
+                        break
+                    cur = cur.left
             entry.par = cur
         while entry.par is not None and entry.prio < entry.par.prio:
             self._rotate_up(entry)
@@ -251,8 +275,7 @@ class SweepStatus:
         entries = self.in_order()
         for prev, cur in zip(entries, entries[1:]):
             advance_current_edge(cur, xi)
-            hn = cur.ay * cur.dx + (xi - cur.ax) * cur.dy
-            if not _after(cur, hn, cur.dx, prev, xi):
+            if not _after(cur, _height_num(cur, xi), cur.dx, prev, xi):
                 raise InternalOrderViolation(
                     f"status order broken at x={xi} between polygons "
                     f"{prev.segment.polygon_id!r} and {cur.segment.polygon_id!r}"
@@ -281,18 +304,22 @@ class SweepStatus:
             grand.right = node
 
 
-def status_predecessor(
-    status: SweepStatus, entry: StatusEntry
-) -> Optional[StatusEntry]:
-    return status.predecessor(entry)
-
-
 @dataclass(slots=True)
 class Event:
     kind: str  # "insert" or "remove"
     xi: Coord
     segment: MaxSegment
     first: bool = False
+
+
+def _cmp_shared_start(a: MaxSegment, b: MaxSegment) -> int:
+    # Two segments that start at one point: their first edges decide.
+    (ax, ay), (bx, by) = a.span_edges[0]
+    (cx, cy), (dx, dy) = b.span_edges[0]
+    return tie_break(a, bx - ax, by - ay, b, dx - cx, dy - cy, ax)
+
+
+_start_key = cmp_to_key(_cmp_shared_start)
 
 
 def build_events(segments: Sequence[MaxSegment]) -> List[Event]:
@@ -302,47 +329,26 @@ def build_events(segments: Sequence[MaxSegment]) -> List[Event]:
     every insert, and inserts are ordered top to bottom at that abscissa.
     The first insert of each polygon carries first=True.
     """
-    by_min = sorted(segments, key=lambda s: s.min_v.x)
-    inserts: List[Event] = []
-    seen_polygons = set()
-    i = 0
-    n = len(by_min)
-    while i < n:
-        j = i
-        x = by_min[i].min_v.x
-        while j < n and by_min[j].min_v.x == x:
-            j += 1
-        group = by_min[i:j]
-        if len(group) > 1:
-            group.sort(
-                key=cmp_to_key(
-                    lambda a, b, _x=x: cmp_core(
-                        a, a.edge_at(_x), b, b.edge_at(_x), _x
-                    )
-                )
-            )
-        for seg in group:
-            first = seg.polygon_id not in seen_polygons
-            seen_polygons.add(seg.polygon_id)
-            inserts.append(Event("insert", x, seg, first))
-        i = j
-
-    removes = [
+    events = [
         Event("remove", s.max_v.x, s)
         for s in sorted(segments, key=lambda s: s.max_v.x)
     ]
-
-    events: List[Event] = []
-    ri = ii = 0
-    while ri < len(removes) and ii < len(inserts):
-        if removes[ri].xi <= inserts[ii].xi:
-            events.append(removes[ri])
-            ri += 1
-        else:
-            events.append(inserts[ii])
-            ii += 1
-    events.extend(removes[ri:])
-    events.extend(inserts[ii:])
+    # A segment inserted at x starts at x, so its height there is min_v.y:
+    # two stable sorts order the inserts by x, then top to bottom, and only
+    # segments that share a start point go to tie_break. A tie_break key
+    # for every segment would keep two new objects per segment alive during
+    # the sort, enough to set off a full garbage collection.
+    inserts = sorted(segments, key=lambda s: s.min_v.y, reverse=True)
+    inserts.sort(key=lambda s: s.min_v.x)
+    seen_polygons: Set[str] = set()
+    for start, run in groupby(inserts, attrgetter("min_v")):
+        for s in sorted(run, key=_start_key):
+            pid = s.polygon_id
+            events.append(Event("insert", start.x, s, pid not in seen_polygons))
+            seen_polygons.add(pid)
+    # Two sorted runs: the stable sort merges them in linear time and keeps
+    # removes before inserts at each abscissa.
+    events.sort(key=attrgetter("xi"))
     return events
 
 

@@ -1,4 +1,4 @@
-"""Exact planar primitives: coordinates, areas, x-intervals, evaluation."""
+"""Exact planar primitives: coordinates, areas, evaluation."""
 
 import random
 from fractions import Fraction
@@ -6,23 +6,21 @@ from fractions import Fraction
 import pytest
 
 from nestpoly import (
-    Edge,
     Point,
     TooFewVertices,
     coord,
     make_polygon,
     shoelace_area,
-    x_interval,
 )
 from nestpoly.errors import (
     DegenerateAllCollinear,
     DuplicateConsecutiveVertex,
     OutOfDomain,
 )
-from nestpoly.geometry import CLOSED, HALF_OPEN, cross
-from nestpoly.segments import slope_at, y_at
+from nestpoly.geometry import cross
+from nestpoly.segments import y_at
 
-from conftest import segments_of, square
+from conftest import segments_of
 
 
 def test_coord_exact_decimal():
@@ -40,7 +38,6 @@ def test_make_polygon_square():
     p = make_polygon("O", [(0, 0), (10, 0), (10, 10), (0, 10)])
     assert p.area == 100
     assert (p.x_min, p.x_max) == (0, 10)
-    assert 0 in p.x_extent and 10 not in p.x_extent
 
 
 def test_make_polygon_triangle():
@@ -157,28 +154,6 @@ def test_shoelace_metamorphic():
     assert shoelace_area(list(reversed(pts))) == base
 
 
-def test_x_interval_edge_cases():
-    e = Edge(Point(0, 0), Point(4, 0))
-    iv = x_interval(e, HALF_OPEN)
-    assert (iv.lo, iv.hi) == (0, 4)
-    assert 0 in iv and 4 not in iv
-
-    vert = Edge(Point(2, 0), Point(2, 5))
-    assert x_interval(vert, HALF_OPEN).is_empty
-
-    seg_pts = [Point(0, 0), Point(2, 1), Point(5, 0)]
-    iv = x_interval(seg_pts, CLOSED)
-    assert (iv.lo, iv.hi) == (0, 5)
-    assert 5 in iv
-
-
-def test_half_open_empty_iff_vertical(small_corpus):
-    for polygons in small_corpus[:10]:
-        for p in polygons:
-            for e in p.edges:
-                assert x_interval(e, HALF_OPEN).is_empty == e.is_vertical
-
-
 def _upper_triangle_segment():
     t = make_polygon("T", [(0, 0), (4, 0), (2, 3)])
     upper = [s for s in segments_of(t) if s.parity == 1]
@@ -192,23 +167,6 @@ def test_y_at_triangle():
     assert y_at(s, 3) == Fraction(3, 2)
     with pytest.raises(OutOfDomain):
         y_at(s, 5)
-
-
-def test_slope_at_triangle():
-    s = _upper_triangle_segment()
-    assert slope_at(s, 1) == Fraction(3, 2)
-    assert slope_at(s, 3) == Fraction(-3, 2)
-    with pytest.raises(OutOfDomain):
-        slope_at(s, 4)
-
-
-def test_slope_at_horizontal_bottom():
-    _, bottom = (None, None)
-    sq = square("S", 0, 0, 6)
-    for s in segments_of(sq):
-        if s.parity == 0:
-            bottom = s
-    assert slope_at(bottom, 3) == 0
 
 
 def _naive_eval(segment, xi):
@@ -234,5 +192,5 @@ def test_eval_matches_naive_scan(small_corpus):
                     ) * (hi - lo)
                     want_y, want_slope = _naive_eval(s, xi)
                     assert y_at(s, xi) == want_y
-                    if xi < hi:
-                        assert slope_at(s, xi) == want_slope
+                    e = s.edge_at(xi)
+                    assert Fraction(e.b.y - e.a.y, e.b.x - e.a.x) == want_slope

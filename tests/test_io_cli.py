@@ -1,5 +1,6 @@
 """JSON formats, serialization round-trips, and the command line tool."""
 
+import io
 import json
 import os
 import subprocess
@@ -147,6 +148,40 @@ def test_cli_parse_error_exit_2(tmp_path, capsys):
     assert main(["nest", "-i", str(tmp_path / "missing.json")]) == 2
 
 
+def test_cli_inputs_not_utf8(tmp_path, capsys, monkeypatch):
+    latin1 = TWO_SQUARES.replace('"O"', '"\u00d6"').encode("latin-1")
+    with pytest.raises(ParseError):
+        parse_instance(latin1)
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes(latin1)
+    good = write(tmp_path, "in.json", TWO_SQUARES)
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(latin1)))
+    for argv in (
+        ["nest", "-i", str(bad)],
+        ["nest", "-i", "-"],
+        ["render", "-i", good, "--forest", str(bad)],
+        ["gen", "--config", str(bad)],
+    ):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_cli_output_in_missing_directory(tmp_path, capsys):
+    inst = write(tmp_path, "in.json", TWO_SQUARES)
+    out = str(tmp_path / "missing" / "out")
+    for argv in (
+        ["nest", "-i", inst],
+        ["oracle", "-i", inst],
+        ["render", "-i", inst],
+        ["gen", "--seed", "1"],
+    ):
+        assert main(argv + ["-o", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out}: ")
+        assert err.count("\n") == 1
+
+
 def test_cli_oracle_matches_nest(tmp_path):
     inst = write(tmp_path, "in.json", TWO_SQUARES)
     a = tmp_path / "a.json"
@@ -243,6 +278,24 @@ def test_cli_bench_sizes_not_integers(capsys):
     assert main(["bench", "--sizes", "abc"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_cli_bench_sizes_zero(capsys):
+    assert main(["bench", "--sizes", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --sizes ") and err.count("\n") == 1
+
+
+def test_cli_bench_sizes_negative(capsys):
+    assert main(["bench", "--sizes", "-3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --sizes ") and err.count("\n") == 1
+
+
+def test_cli_bench_repeat_zero(capsys):
+    assert main(["bench", "--sizes", "16", "--repeat", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --repeat ") and err.count("\n") == 1
 
 
 def test_cli_bench_csv(tmp_path):

@@ -1,12 +1,9 @@
-"""Vertical order of live segments, insertion order, below relation."""
+"""Vertical order of live segments at a sweep abscissa."""
 
 import random
 from fractions import Fraction
 
-import pytest
-
-from nestpoly import OverlapDetected, make_polygon
-from nestpoly.ordering import Rel, VerticalRel, cmp_at, insertion_cmp, is_below
+from nestpoly.ordering import Rel, cmp_at
 
 from conftest import segments_of, square, top_bottom
 
@@ -36,47 +33,6 @@ def test_cmp_at_shared_bottom_edge_area_tiebreak(bottom_edge_pair):
 def test_cmp_at_identity():
     top, _ = top_bottom(square("S", 0, 0, 4))
     assert cmp_at(2, top, top) is Rel.SAME
-
-
-def test_insertion_cmp_disjoint_extents():
-    a = square("A", 0, 0, 4)
-    b = square("B", 10, 0, 4)
-    for sa in segments_of(a):
-        for sb in segments_of(b):
-            assert insertion_cmp(sa, sb) is Rel.BEFORE
-            assert insertion_cmp(sb, sa) is Rel.AFTER
-
-
-def test_insertion_cmp_shared_min_x(vertex_touch_pair):
-    o, i = vertex_touch_pair
-    top_o, _ = top_bottom(o)
-    top_i = next(s for s in segments_of(i) if s.parity == 1)
-    assert top_o.min_v.x == top_i.min_v.x == 0
-    assert insertion_cmp(top_o, top_i) is Rel.BEFORE
-    assert insertion_cmp(top_i, top_i) is Rel.SAME
-
-
-def test_is_below_nested(nested_squares):
-    o, i = nested_squares
-    top_o, _ = top_bottom(o)
-    top_i, _ = top_bottom(i)
-    assert is_below(top_i, top_o) is VerticalRel.BELOW
-    assert is_below(top_o, top_i) is VerticalRel.ABOVE
-
-
-def test_is_below_disjoint(shared_edge_squares):
-    a, b = shared_edge_squares
-    top_a, _ = top_bottom(a)
-    top_b, _ = top_bottom(b)
-    assert is_below(top_a, top_b) is VerticalRel.DISJOINT
-
-
-def test_is_below_crossing_raises(crossing_pair):
-    p, q = crossing_pair
-    top_p, _ = top_bottom(p)
-    top_q, _ = top_bottom(q)
-    with pytest.raises(OverlapDetected):
-        is_below(top_p, top_q)
 
 
 def _live_pairs(polygons, rng, count):
@@ -142,21 +98,24 @@ def test_cmp_at_xi_consistency(small_corpus):
 
 def test_slope_tiebreak_matches_below(small_corpus):
     # When two segments meet at a shared left endpoint, the smaller slope
-    # belongs to the lower segment just right of the meeting point.
-    rng = random.Random(37)
-    from nestpoly.ordering import cmp_slopes
-
+    # belongs to the lower segment, which comes after the other one over
+    # their whole common x-extent.
     segs = [s for p in small_corpus[3] for s in segments_of(p)]
     checked = 0
     for a in segs:
         for b in segs:
             if a is b or a.min_v != b.min_v:
                 continue
-            ea, eb = a.span_edges[0], b.span_edges[0]
-            c = cmp_slopes(ea, eb)
-            if c == 0:
+            (ea0, ea1), (eb0, eb1) = a.span_edges[0], b.span_edges[0]
+            lhs = (ea1.y - ea0.y) * (eb1.x - eb0.x)
+            rhs = (eb1.y - eb0.y) * (ea1.x - ea0.x)
+            if lhs == rhs:
                 continue
-            rel = is_below(a, b)
-            assert rel is (VerticalRel.BELOW if c < 0 else VerticalRel.ABOVE)
+            want = Rel.AFTER if lhs < rhs else Rel.BEFORE
+            # At the shared start the slope rule decides; at the midpoint
+            # of the common x-extent the heights do.
+            mid = Fraction(a.min_v.x + min(a.max_v.x, b.max_v.x), 2)
+            assert cmp_at(a.min_v.x, a, b) is want
+            assert cmp_at(mid, a, b) is want
             checked += 1
-    _ = rng
+    assert checked

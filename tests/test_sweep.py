@@ -20,12 +20,12 @@ from nestpoly import (
     transform,
 )
 from nestpoly.errors import OutOfDomain
+from nestpoly.ordering import Rel, cmp_at
 from nestpoly.sweep import (
     StatusEntry,
     SweepStatus,
     advance_current_edge,
     build_events,
-    status_predecessor,
 )
 
 from conftest import segments_of, square, top_bottom
@@ -67,8 +67,13 @@ def test_build_events_properties(small_corpus):
         assert [e.xi for e in events] == sorted(e.xi for e in events)
         for prev, cur in zip(events, events[1:]):
             if prev.xi == cur.xi:
-                # At one abscissa no remove may follow an insert.
+                # At one abscissa no remove may follow an insert, and the
+                # inserts run top to bottom.
                 assert not (prev.kind == "insert" and cur.kind == "remove")
+                if prev.kind == cur.kind == "insert":
+                    assert cmp_at(
+                        cur.xi, prev.segment, cur.segment
+                    ) is Rel.BEFORE
         firsts = [e.segment.polygon_id for e in events if e.first]
         assert sorted(firsts) == sorted(p.id for p in polygons)
 
@@ -78,8 +83,8 @@ def test_status_predecessor_square_alone():
     status = SweepStatus()
     e_top = status.insert(top, 0)
     e_bottom = status.insert(bottom, 0)
-    assert status_predecessor(status, e_bottom) is e_top
-    assert status_predecessor(status, e_top) is None
+    assert status.predecessor(e_bottom) is e_top
+    assert status.predecessor(e_top) is None
 
 
 def test_status_predecessor_nested(nested_squares):
@@ -91,7 +96,7 @@ def test_status_predecessor_nested(nested_squares):
     status.insert(bot_o, 0)
     e_top_i = status.insert(top_i, 2)
     status.insert(bot_i, 2)
-    assert status_predecessor(status, e_top_i).segment is top_o
+    assert status.predecessor(e_top_i).segment is top_o
     order = [e.segment for e in status.in_order()]
     assert order == [top_o, top_i, bot_i, bot_o]
 
