@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 from nestpoly.ordering import Rel, cmp_at
+from nestpoly.sweep import build_events
 
 from conftest import segments_of, square, top_bottom
 
@@ -33,6 +34,34 @@ def test_cmp_at_shared_bottom_edge_area_tiebreak(bottom_edge_pair):
 def test_cmp_at_identity():
     top, _ = top_bottom(square("S", 0, 0, 4))
     assert cmp_at(2, top, top) is Rel.SAME
+
+
+
+def _insert_order(segments):
+    return [e.segment for e in build_events(segments) if e.kind == "insert"]
+
+
+def test_insertion_cmp_disjoint_extents():
+    # Every segment of A starts left of every segment of B, so all of A's
+    # inserts come first, whatever order the segments are given in.
+    a = segments_of(square("A", 0, 0, 4))
+    b = segments_of(square("B", 10, 0, 4))
+    for given in (a + b, b + a):
+        order = _insert_order(given)
+        assert {s.polygon_id for s in order[:len(a)]} == {"A"}
+        assert {s.polygon_id for s in order[len(a):]} == {"B"}
+
+
+def test_insertion_cmp_shared_min_x(vertex_touch_pair):
+    o, i = vertex_touch_pair
+    top_o, _ = top_bottom(o)
+    top_i = next(s for s in segments_of(i) if s.parity == 1)
+    assert top_o.min_v.x == top_i.min_v.x == 0
+    # Both start at x = 0; the outer top lies above and is inserted first.
+    for given in ([top_o, top_i], [top_i, top_o]):
+        assert _insert_order(given) == [top_o, top_i]
+    assert cmp_at(0, top_o, top_i) is Rel.BEFORE
+    assert cmp_at(0, top_i, top_i) is Rel.SAME
 
 
 def _live_pairs(polygons, rng, count):
