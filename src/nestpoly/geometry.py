@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress
 from numbers import Rational
-from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple, Union
+from operator import and_, eq, mul
+from typing import Dict, Iterable, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import (
     DegenerateAllCollinear,
@@ -86,13 +88,15 @@ def shoelace_area(vertices: Sequence[Point]) -> Coord:
 
 def signed_area2(vertices: Sequence[Point]) -> Coord:
     """Twice the signed area; >0 for counterclockwise vertex order."""
-    total = 0
-    n = len(vertices)
-    for i in range(n):
-        p = vertices[i]
-        q = vertices[(i + 1) % n]
-        total += p.x * q.y - q.x * p.y
-    return total
+    xs = [p.x for p in vertices]
+    ys = [p.y for p in vertices]
+    return _twice_area(xs, ys, xs[1:] + xs[:1], ys[1:] + ys[:1])
+
+
+def _twice_area(xs, ys, next_xs, next_ys) -> Coord:
+    # The shoelace sum over the columns; next_* are the columns shifted by
+    # one vertex, so that each pair of entries is one edge.
+    return sum(map(mul, xs, next_ys)) - sum(map(mul, next_xs, ys))
 
 
 def _div2(value: Coord) -> Coord:
@@ -103,18 +107,46 @@ def _div2(value: Coord) -> Coord:
     return _normalize(value / 2)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(eq=False, slots=True)
 class Polygon:
-    """Simple polygon given as a vertex cycle; build via make_polygon."""
+    """Simple polygon held as two coordinate columns; build via make_polygon.
+
+    xs[i], ys[i] is vertex i of the cycle, each coordinate an int or a
+    Fraction as coord() returns it. vertices and edges are views of the
+    columns, built on first access and then kept, for code that wants
+    Points and Edges; the sweep reads the columns only. Treat a Polygon
+    as immutable.
+    """
 
     id: str
-    vertices: Tuple[Point, ...]
-    edges: Tuple[Edge, ...]
+    xs: Tuple[Coord, ...]
+    ys: Tuple[Coord, ...]
     area: Coord
     x_min: Coord
     x_max: Coord
     # Least common denominator of all coordinates; 1 when all are ints.
     denominator: int = 1
+    _vertices: Optional[Tuple[Point, ...]] = field(
+        default=None, init=False, repr=False
+    )
+    _edges: Optional[Tuple[Edge, ...]] = field(
+        default=None, init=False, repr=False
+    )
+
+    @property
+    def vertices(self) -> Tuple[Point, ...]:
+        v = self._vertices
+        if v is None:
+            v = self._vertices = tuple(map(Point, self.xs, self.ys))
+        return v
+
+    @property
+    def edges(self) -> Tuple[Edge, ...]:
+        e = self._edges
+        if e is None:
+            v = self.vertices
+            e = self._edges = tuple(map(Edge, v, v[1:] + v[:1]))
+        return e
 
 
 def make_polygon(poly_id: str, vertices: Iterable) -> Polygon:
@@ -126,41 +158,53 @@ def make_polygon(poly_id: str, vertices: Iterable) -> Polygon:
     DegenerateAllCollinear for inputs that cannot bound an interior.
     Collinear consecutive vertices are permitted.
     """
-    pts = []
+    xs = []
+    ys = []
     for x, y in vertices:
-        pts.append(Point(coord(x), coord(y)))
-    return polygon_from_points(poly_id, pts)
+        xs.append(coord(x))
+        ys.append(coord(y))
+    return polygon_from_columns(poly_id, tuple(xs), tuple(ys))
 
 
-def polygon_from_points(poly_id: str, pts: List[Point]) -> Polygon:
+def polygon_from_columns(
+    poly_id: str, xs: Tuple[Coord, ...], ys: Tuple[Coord, ...]
+) -> Polygon:
     """The checks and build of make_polygon, without the coercion.
 
-    Every coordinate must already be as coord() returns it: an int or a
-    Fraction with denominator > 1.
+    xs and ys are the two coordinate columns of the vertex cycle. Every
+    coordinate must already be as coord() returns it: an int or a Fraction
+    with denominator > 1.
     """
-    if len(pts) < 3:
-        raise TooFewVertices(f"polygon {poly_id!r}: {len(pts)} vertices")
-    ring = pts[1:] + pts[:1]
-    for i, (p, q) in enumerate(zip(pts, ring)):
-        if p == q:
-            raise DuplicateConsecutiveVertex(
-                f"polygon {poly_id!r}: vertex {i} repeats at {p}"
-            )
-    if all(cross(pts[0], pts[1], p) == 0 for p in pts[2:]):
-        raise DegenerateAllCollinear(f"polygon {poly_id!r}: zero area")
-    edges = tuple(map(Edge, pts, ring))
-    xs = [p.x for p in pts]
-    twice_area = signed_area2(pts)
+    n = len(xs)
+    if n < 3:
+        raise TooFewVertices(f"polygon {poly_id!r}: {n} vertices")
+    next_xs = xs[1:] + xs[:1]
+    next_ys = ys[1:] + ys[:1]
+    for i in compress(
+        range(n), map(and_, map(eq, xs, next_xs), map(eq, ys, next_ys))
+    ):
+        raise DuplicateConsecutiveVertex(
+            f"polygon {poly_id!r}: vertex {i} repeats at {Point(xs[i], ys[i])}"
+        )
+    twice_area = _twice_area(xs, ys, next_xs, next_ys)
+    # A nonzero area rules out a cycle of collinear vertices.
+    if twice_area == 0:
+        x0, y0 = xs[0], ys[0]
+        dx, dy = xs[1] - x0, ys[1] - y0
+        if all(
+            dx * (y - y0) == dy * (x - x0) for x, y in zip(xs[2:], ys[2:])
+        ):
+            raise DegenerateAllCollinear(f"polygon {poly_id!r}: zero area")
     # Every coordinate enters a product of the shoelace sum, and a Fraction
     # operand makes the whole sum a Fraction: an int sum means int input.
     if isinstance(twice_area, int):
         denominator = 1
     else:
-        denominator = math.lcm(*(c.denominator for p in pts for c in p))
+        denominator = math.lcm(*(c.denominator for c in xs + ys))
     return Polygon(
         id=poly_id,
-        vertices=tuple(pts),
-        edges=edges,
+        xs=xs,
+        ys=ys,
         area=_div2(abs(twice_area)),
         x_min=min(xs),
         x_max=max(xs),
@@ -175,20 +219,15 @@ def rescaled(polygon: Polygon, factor: int, memo: Dict[Coord, int]) -> Polygon:
     the copy is an int. memo maps input coordinates to scaled ones; sharing
     it across the polygons of an instance scales each distinct value once.
     """
-
-    def scale(c: Coord) -> int:
-        s = memo.get(c)
-        if s is None:
-            s = memo[c] = c.numerator * (factor // c.denominator)
-        return s
-
-    pts = [Point(scale(x), scale(y)) for x, y in polygon.vertices]
-    n = len(pts)
+    xs, ys = polygon.xs, polygon.ys
+    for c in set(xs + ys).difference(memo):
+        memo[c] = c.numerator * (factor // c.denominator)
+    scale = memo.__getitem__
     return Polygon(
         id=polygon.id,
-        vertices=tuple(pts),
-        edges=tuple(Edge(pts[i], pts[(i + 1) % n]) for i in range(n)),
+        xs=tuple(map(scale, xs)),
+        ys=tuple(map(scale, ys)),
         area=_normalize(polygon.area * (factor * factor)),
-        x_min=memo[polygon.x_min],
-        x_max=memo[polygon.x_max],
+        x_min=scale(polygon.x_min),
+        x_max=scale(polygon.x_max),
     )

@@ -10,12 +10,13 @@ byte-deterministic for a given instance.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _json_str
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
 from .errors import InputError, ParseError, SemanticError
 from .forest import NestingForest
-from .geometry import Coord, Point, Polygon, coord, polygon_from_points
+from .geometry import Coord, Polygon, coord, polygon_from_columns
 
 
 def parse_instance(text) -> List[Polygon]:
@@ -58,37 +59,38 @@ def parse_instance(text) -> List[Polygon]:
         verts = item.get("vertices")
         if not isinstance(verts, list):
             raise SemanticError(f"polygon {pid!r}: vertices must be a list")
-        pts = []
+        xs = []
+        ys = []
         for j, v in enumerate(verts):
             if not isinstance(v, (list, tuple)) or len(v) != 2:
                 raise SemanticError(
                     f"polygon {pid!r}: vertex #{j} must be an [x, y] pair"
                 )
+            x, y = v
             try:
-                pts.append(
-                    Point(
-                        _parse_coord(v[0], parsed), _parse_coord(v[1], parsed)
-                    )
-                )
+                if x.__class__ is not int:
+                    x = _parse_coord(x, parsed)
+                if y.__class__ is not int:
+                    y = _parse_coord(y, parsed)
             except ValueError as exc:
                 raise SemanticError(
                     f"polygon {pid!r}: vertex #{j}: {exc}"
                 ) from exc
+            xs.append(x)
+            ys.append(y)
         try:
-            polygons.append(polygon_from_points(pid, pts))
+            polygons.append(polygon_from_columns(pid, tuple(xs), tuple(ys)))
         except InputError as exc:
             raise SemanticError(f"polygon {pid!r}: {exc}") from exc
     return polygons
 
 
 def _parse_coord(value, parsed: Dict[str, Coord]) -> Coord:
-    """Coordinate from a JSON value; parsed caches the decimal strings.
+    """Coordinate from a non-int JSON value; parsed caches decimal strings.
 
     Equal strings thus share one Fraction, and each is parsed only once.
     """
     cls = value.__class__
-    if cls is int:
-        return value
     if cls is str:
         c = parsed.get(value)
         if c is None:
@@ -156,7 +158,30 @@ def forest_document(
     return doc
 
 
+_FOREST_ROW = '    {\n      "id": %s,\n      "parent": %s,\n      "depth": %d\n    }'
+
+
 def serialize_forest(
     forest: NestingForest, stats: Optional[Dict] = None
 ) -> str:
-    return json.dumps(forest_document(forest, stats), indent=2) + "\n"
+    """forest_document as json.dumps(..., indent=2) writes it, plus a newline.
+
+    The rows have a fixed shape, so they are formatted directly: json.dumps
+    with indent falls back to its pure-Python encoder. Ids must be strings.
+    """
+    depths = forest.depths()
+    parent = forest.parent
+    rows = ",\n".join(
+        _FOREST_ROW % (
+            _json_str(pid),
+            "null" if parent[pid] is None else _json_str(parent[pid]),
+            depths[pid],
+        )
+        for pid in sorted(parent)
+    )
+    text = f'{{\n  "forest": [\n{rows}\n  ]' if rows else '{\n  "forest": []'
+    if stats is not None:
+        # Nested one level down: two more spaces after every line break.
+        nested = json.dumps(stats, indent=2).replace("\n", "\n  ")
+        text += f',\n  "stats": {nested}'
+    return text + "\n}\n"

@@ -11,6 +11,8 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress, repeat
+from operator import eq, gt, lt, ne, sub
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import OutOfDomain, ParityInconsistency
@@ -27,23 +29,56 @@ from .geometry import (
 class MaxSegment:
     """Maximal x-monotone boundary segment of one polygon.
 
-    edges are ordered by non-decreasing left x and each non-vertical edge is
-    oriented left to right. span_edges lists only the non-vertical edges;
-    their half-open x-intervals partition [min_v.x, max_v.x). parity is
+    xs and ys are the coordinate columns of the segment's vertices, ordered
+    left to right, so xs is non-decreasing; vertex k and vertex k + 1 bound
+    its edge k. Its first and last edges are not vertical. parity is
     assigned by assign_parities and is None before that.
+
+    edges, span_edges, min_v, max_v and edge_at give the same path as Edges
+    and Points: edges in left-to-right order, each non-vertical one oriented
+    left to right; span_edges only the non-vertical ones, whose half-open
+    x-intervals partition [min_v.x, max_v.x). The edge views are built on
+    first access and then kept.
     """
 
     polygon_id: str
-    edges: Tuple[Edge, ...]
-    span_edges: Tuple[Edge, ...]
-    min_v: Point
-    max_v: Point
+    xs: Tuple[Coord, ...]
+    ys: Tuple[Coord, ...]
     area: Coord
-    cyclic_index: int
     parity: Optional[int] = None
-    # Left x of every span edge, built by the first edge_at call that
-    # needs it.
-    _span_lefts: Tuple[Coord, ...] = field(default=(), repr=False)
+    _edges: Optional[Tuple[Edge, ...]] = field(
+        default=None, init=False, repr=False
+    )
+    _span_edges: Optional[Tuple[Edge, ...]] = field(
+        default=None, init=False, repr=False
+    )
+
+    @property
+    def min_v(self) -> Point:
+        return Point(self.xs[0], self.ys[0])
+
+    @property
+    def max_v(self) -> Point:
+        return Point(self.xs[-1], self.ys[-1])
+
+    @property
+    def edges(self) -> Tuple[Edge, ...]:
+        e = self._edges
+        if e is None:
+            v = tuple(map(Point, self.xs, self.ys))
+            e = self._edges = tuple(map(Edge, v, v[1:]))
+        return e
+
+    @property
+    def span_edges(self) -> Tuple[Edge, ...]:
+        e = self._span_edges
+        if e is None:
+            e = self.edges
+            # xs is non-decreasing: a repeated x means a vertical edge.
+            if len(set(self.xs)) < len(self.xs):
+                e = tuple(edge for edge in e if edge.a.x != edge.b.x)
+            self._span_edges = e
+        return e
 
     def edge_at(self, xi) -> Edge:
         """Non-vertical edge associated with xi.
@@ -52,33 +87,47 @@ class MaxSegment:
         half-open x-interval contains xi; at xi == max_v.x it is the last
         span edge.
         """
-        if xi < self.min_v.x or xi > self.max_v.x:
+        xs = self.xs
+        if xi < xs[0] or xi > xs[-1]:
             raise OutOfDomain(
-                f"x={xi} outside [{self.min_v.x}, {self.max_v.x}] "
+                f"x={xi} outside [{xs[0]}, {xs[-1]}] "
                 f"of a segment of polygon {self.polygon_id!r}"
             )
-        if xi == self.max_v.x:
-            return self.span_edges[-1]
-        if xi == self.min_v.x:
-            return self.span_edges[0]
-        lefts = self._span_lefts
-        if not lefts:
-            lefts = self._span_lefts = tuple(e.a.x for e in self.span_edges)
-        idx = bisect_right(lefts, xi) - 1
-        return self.span_edges[idx]
+        # The last vertex at or left of xi starts a non-vertical edge.
+        k = min(bisect_right(xs, xi), len(xs) - 1) - 1
+        return self.edges[k]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SegmentDecomposition:
     """All maximal segments of one polygon, in boundary traversal order.
 
     connector_runs[i] holds the (possibly empty) run of vertical edges
-    between segments[i] and segments[(i + 1) % len(segments)].
+    between segments[i] and segments[(i + 1) % len(segments)]; it is a view
+    of the polygon's edges, built on access.
     """
 
-    polygon_id: str
+    polygon: Polygon
     segments: Tuple[MaxSegment, ...]
-    connector_runs: Tuple[Tuple[Edge, ...], ...]
+    # Index in the polygon's cycle of each segment's first vertex along the
+    # traversal.
+    _starts: List[int] = field(repr=False)
+
+    @property
+    def polygon_id(self) -> str:
+        return self.polygon.id
+
+    @property
+    def connector_runs(self) -> Tuple[Tuple[Edge, ...], ...]:
+        edges = self.polygon.edges
+        n = len(edges)
+        runs = []
+        starts = self._starts
+        for i, seg in enumerate(self.segments):
+            end = starts[i] + len(seg.xs) - 1
+            gap = (starts[(i + 1) % len(starts)] - end) % n
+            runs.append(tuple(edges[(end + j) % n] for j in range(gap)))
+        return tuple(runs)
 
 
 def y_at(segment: MaxSegment, xi) -> Coord:
@@ -94,81 +143,54 @@ def y_at(segment: MaxSegment, xi) -> Coord:
 def decompose(polygon: Polygon) -> SegmentDecomposition:
     """Split the boundary into maximal x-monotone segments.
 
-    Runs in O(n). Vertical edges between two same-direction runs are
-    absorbed into the segment; vertical edges between opposite-direction
-    runs become connector runs and belong to no segment.
+    Runs in O(n) on the polygon's coordinate columns. Vertical edges between
+    two same-direction runs are absorbed into the segment; vertical edges
+    between opposite-direction runs become connector runs and belong to no
+    segment.
     """
-    edges = polygon.edges
-    verts = polygon.vertices
-    n = len(edges)
-    xs = [p.x for p in verts]
+    xs, ys = polygon.xs, polygon.ys
+    n = len(xs)
+    next_xs = xs[1:] + xs[:1]
     # x-direction of edge i: 1 rightwards, -1 leftwards, 0 vertical.
-    dirs = [(a < b) - (a > b) for a, b in zip(xs, xs[1:] + xs[:1])]
-    nonvert = [i for i, d in enumerate(dirs) if d]
+    dirs = list(map(sub, map(lt, xs, next_xs), map(gt, xs, next_xs)))
+    nonvert = list(compress(range(n), dirs))
     # A closed cycle cannot consist of vertical edges only (all x equal
     # would mean all vertices collinear, rejected at construction).
     assert nonvert, "polygon with non-vertical edges expected"
-
-    # Group the non-vertical edges into maximal cyclic runs of equal
-    # x-direction. Each run yields one maximal segment.
-    k = len(nonvert)
-    start = 0
-    while start < k and dirs[nonvert[start]] == dirs[nonvert[start - 1]]:
-        start += 1
-    if start == k:
+    turns = list(compress(dirs, dirs))
+    # Position, among the non-vertical edges, of the first edge of each
+    # maximal cyclic run of equal x-direction. Each run yields one maximal
+    # segment.
+    run_starts = list(
+        compress(range(len(turns)), map(ne, turns, turns[-1:] + turns[:-1]))
+    )
+    if not run_starts:
         # All non-vertical edges share one direction; impossible for a
         # closed simple cycle, but guard against corrupt input.
         raise ParityInconsistency(
             f"polygon {polygon.id!r}: boundary never reverses x-direction"
         )
 
-    runs: List[List[int]] = []
-    run_dir = 0
-    for idx in nonvert[start:] + nonvert[:start]:
-        if dirs[idx] == run_dir:
-            runs[-1].append(idx)
+    segments = []
+    starts = []
+    area = polygon.area
+    pid = polygon.id
+    for r, k in enumerate(run_starts):
+        first = nonvert[k]
+        # Python's index -1 wraps the last run round to the first.
+        last = nonvert[run_starts[(r + 1) % len(run_starts)] - 1]
+        # Vertices first .. last + 1 along the cycle.
+        stop = first + (last - first) % n + 2
+        if stop <= n:
+            sx, sy = xs[first:stop], ys[first:stop]
         else:
-            runs.append([idx])
-            run_dir = dirs[idx]
-
-    # Doubled cycles, so that every cyclic run is one slice.
-    edges2 = edges + edges
-    verts2 = verts + verts
-    segments: List[MaxSegment] = []
-    connectors: List[Tuple[Edge, ...]] = []
-    m = len(runs)
-    for r, run in enumerate(runs):
-        first, last = run[0], run[-1]
-        stop = first + (last - first) % n + 1
-        if dirs[first] > 0:
-            oriented = edges2[first:stop]
-        else:
-            pts = verts2[first:stop + 1]
-            oriented = tuple(map(Edge, pts[:0:-1], pts[-2::-1]))
-        if len(oriented) == len(run):
-            span_edges = oriented
-        else:
-            span_edges = tuple(e for e in oriented if e.a.x != e.b.x)
-        segments.append(
-            MaxSegment(
-                polygon_id=polygon.id,
-                edges=oriented,
-                span_edges=span_edges,
-                min_v=oriented[0].a,
-                max_v=oriented[-1].b,
-                area=polygon.area,
-                cyclic_index=r,
-            )
-        )
-        next_first = runs[(r + 1) % m][0]
-        gap = (next_first - last - 1) % n
-        connectors.append(edges2[last + 1:last + 1 + gap])
-
-    return SegmentDecomposition(
-        polygon_id=polygon.id,
-        segments=tuple(segments),
-        connector_runs=tuple(connectors),
-    )
+            sx = xs[first:] + xs[:stop - n]
+            sy = ys[first:] + ys[:stop - n]
+        if turns[k] < 0:
+            sx, sy = sx[::-1], sy[::-1]
+        segments.append(MaxSegment(pid, sx, sy, area))
+        starts.append(first)
+    return SegmentDecomposition(polygon, tuple(segments), starts)
 
 
 # --- Three independent checkers for the x-monotonicity property ------------
@@ -279,21 +301,6 @@ def count_N(
     return count
 
 
-def _topmost_vertex(polygon: Polygon) -> Point:
-    best = polygon.vertices[0]
-    for p in polygon.vertices[1:]:
-        if p.y > best.y or (p.y == best.y and p.x < best.x):
-            best = p
-    return best
-
-
-def _slope_pair(e: Edge):
-    # Slope as (dy, dx) with dx > 0; compare via cross-multiplication.
-    dy = e.b.y - e.a.y
-    dx = e.b.x - e.a.x
-    return dy, dx
-
-
 def assign_parities(
     polygon: Polygon, decomposition: SegmentDecomposition
 ) -> SegmentDecomposition:
@@ -310,54 +317,55 @@ def assign_parities(
         raise ParityInconsistency(
             f"polygon {polygon.id!r}: odd number of segments"
         )
-    top = _topmost_vertex(polygon)
-    holders = []
-    for i, seg in enumerate(segs):
-        if seg.min_v == top or seg.max_v == top:
-            holders.append(i)
-        else:
-            for e in seg.edges[:-1]:
-                if e.b == top:
-                    holders.append(i)
-                    break
+    xs, ys = polygon.xs, polygon.ys
+    ty = max(ys)
+    tx = min(compress(xs, map(eq, ys, repeat(ty))))
+    # A segment's xs is non-decreasing, so its leftmost vertex at height ty
+    # is the top vertex if any of them is.
+    holders = [
+        i for i, seg in enumerate(segs)
+        if ty in seg.ys and seg.xs[seg.ys.index(ty)] == tx
+    ]
     if not holders:
         raise ParityInconsistency(
-            f"polygon {polygon.id!r}: topmost vertex {top} lies on no segment"
+            f"polygon {polygon.id!r}: topmost vertex {Point(tx, ty)} lies on "
+            f"no segment"
         )
 
     seed_index = holders[0]
-    seed_parity = 1
-    forced: Optional[Tuple[int, int]] = None
+    forced: Optional[int] = None
     if len(holders) == 2:
         i, j = holders
-        si, sj = segs[i], segs[j]
-        if si.min_v == top and sj.min_v == top:
-            ei, ej = si.span_edges[0], sj.span_edges[0]
-            ni, di = _slope_pair(ei)
-            nj, dj = _slope_pair(ej)
-            above_i = ni * dj > nj * di
-        elif si.max_v == top and sj.max_v == top:
-            ei, ej = si.span_edges[-1], sj.span_edges[-1]
-            ni, di = _slope_pair(ei)
-            nj, dj = _slope_pair(ej)
-            above_i = ni * dj < nj * di
+        ix, iy, jx, jy = segs[i].xs, segs[i].ys, segs[j].xs, segs[j].ys
+        # Slopes of the edges at the shared terminal, compared by
+        # cross-multiplication; each dx is > 0.
+        if ix[0] == jx[0] == tx and iy[0] == jy[0] == ty:
+            lhs = (iy[1] - ty) * (jx[1] - tx)
+            rhs = (jy[1] - ty) * (ix[1] - tx)
+            above_i = lhs > rhs
+        elif ix[-1] == jx[-1] == tx and iy[-1] == jy[-1] == ty:
+            lhs = (ty - iy[-2]) * (tx - jx[-2])
+            rhs = (ty - jy[-2]) * (tx - ix[-2])
+            above_i = lhs < rhs
         else:
             raise ParityInconsistency(
-                f"polygon {polygon.id!r}: vertex {top} is a mixed shared terminal"
+                f"polygon {polygon.id!r}: vertex {Point(tx, ty)} is a mixed "
+                f"shared terminal"
             )
         seed_index = i if above_i else j
-        forced = (j if above_i else i, 0)
+        forced = j if above_i else i
     elif len(holders) > 2:
         raise ParityInconsistency(
-            f"polygon {polygon.id!r}: vertex {top} lies on {len(holders)} segments"
+            f"polygon {polygon.id!r}: vertex {Point(tx, ty)} lies on "
+            f"{len(holders)} segments"
         )
 
     for i, seg in enumerate(segs):
-        seg.parity = (seed_parity + abs(i - seed_index)) % 2
+        seg.parity = (1 + abs(i - seed_index)) % 2
 
-    if forced is not None and segs[forced[0]].parity != forced[1]:
+    if forced is not None and segs[forced].parity != 0:
         raise ParityInconsistency(
             f"polygon {polygon.id!r}: alternation contradicts the slope rule "
-            f"at vertex {top}"
+            f"at vertex {Point(tx, ty)}"
         )
     return decomposition

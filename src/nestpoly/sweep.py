@@ -36,7 +36,8 @@ DEBUG_ENV = "NESTPOLY_DEBUG_ASSERT"
 class StatusEntry:
     """A live segment: its forward-only current-edge cursor and treap node.
 
-    ax, ay, dx, dy and end cache the current edge: its left end, its
+    cursor is the segment's current edge k, from vertex k to vertex k + 1 of
+    its columns. ax, ay, dx, dy and end cache that edge: its left end, its
     direction (dx > 0) and the abscissa of its right end. They change only
     when advance_current_edge moves the cursor. prio, left, right and par
     link the entry into a SweepStatus.
@@ -49,42 +50,42 @@ class StatusEntry:
 
     def __init__(self, segment: MaxSegment):
         self.segment = segment
-        self.cursor = 0
-        self._load(segment.span_edges[0])
+        self._load(0)
         self.prio = None
         self.left = self.right = self.par = None
 
-    def _load(self, edge) -> None:
-        (ax, ay), (bx, by) = edge
-        self.ax = ax
-        self.ay = ay
+    def _load(self, k: int) -> None:
+        seg = self.segment
+        self.cursor = k
+        self.ax = ax = seg.xs[k]
+        self.ay = ay = seg.ys[k]
+        self.end = bx = seg.xs[k + 1]
         self.dx = bx - ax
-        self.dy = by - ay
-        self.end = bx
+        self.dy = seg.ys[k + 1] - ay
 
     def current_edge(self):
-        return self.segment.span_edges[self.cursor]
+        return self.segment.edges[self.cursor]
 
 
 def advance_current_edge(entry: StatusEntry, xi) -> StatusEntry:
     """Move the cursor forward to the edge associated with xi.
 
     The cursor never moves backwards; across a whole sweep each entry's
-    cursor advances at most once per span edge.
+    cursor advances at most once per edge. It passes over vertical edges,
+    which are never the last edge of a segment.
     """
     seg = entry.segment
-    if xi > seg.max_v.x:
+    xs = seg.xs
+    if xi > xs[-1]:
         raise OutOfDomain(
             f"x={xi} beyond segment of polygon {seg.polygon_id!r}"
         )
-    edges = seg.span_edges
-    last = len(edges) - 1
+    last = len(xs) - 2
     cur = entry.cursor
-    while cur < last and edges[cur].b.x <= xi:
+    while cur < last and xs[cur + 1] <= xi:
         cur += 1
     if cur != entry.cursor:
-        entry.cursor = cur
-        entry._load(edges[cur])
+        entry._load(cur)
     if xi < entry.ax:
         raise OutOfDomain(
             f"x={xi} precedes the current edge of a segment of polygon "
@@ -314,9 +315,10 @@ class Event:
 
 def _cmp_shared_start(a: MaxSegment, b: MaxSegment) -> int:
     # Two segments that start at one point: their first edges decide.
-    (ax, ay), (bx, by) = a.span_edges[0]
-    (cx, cy), (dx, dy) = b.span_edges[0]
-    return tie_break(a, bx - ax, by - ay, b, dx - cx, dy - cy, ax)
+    ax, ay, bx, by = a.xs, a.ys, b.xs, b.ys
+    return tie_break(
+        a, ax[1] - ax[0], ay[1] - ay[0], b, bx[1] - bx[0], by[1] - by[0], ax[0]
+    )
 
 
 _start_key = cmp_to_key(_cmp_shared_start)
@@ -330,21 +332,21 @@ def build_events(segments: Sequence[MaxSegment]) -> List[Event]:
     The first insert of each polygon carries first=True.
     """
     events = [
-        Event("remove", s.max_v.x, s)
-        for s in sorted(segments, key=lambda s: s.max_v.x)
+        Event("remove", s.xs[-1], s)
+        for s in sorted(segments, key=lambda s: s.xs[-1])
     ]
-    # A segment inserted at x starts at x, so its height there is min_v.y:
+    # A segment inserted at x starts at x, so its height there is ys[0]:
     # two stable sorts order the inserts by x, then top to bottom, and only
     # segments that share a start point go to tie_break. A tie_break key
     # for every segment would keep two new objects per segment alive during
     # the sort, enough to set off a full garbage collection.
-    inserts = sorted(segments, key=lambda s: s.min_v.y, reverse=True)
-    inserts.sort(key=lambda s: s.min_v.x)
+    inserts = sorted(segments, key=lambda s: s.ys[0], reverse=True)
+    inserts.sort(key=lambda s: s.xs[0])
     seen_polygons: Set[str] = set()
-    for start, run in groupby(inserts, attrgetter("min_v")):
+    for (x, _), run in groupby(inserts, lambda s: (s.xs[0], s.ys[0])):
         for s in sorted(run, key=_start_key):
             pid = s.polygon_id
-            events.append(Event("insert", start.x, s, pid not in seen_polygons))
+            events.append(Event("insert", x, s, pid not in seen_polygons))
             seen_polygons.add(pid)
     # Two sorted runs: the stable sort merges them in linear time and keeps
     # removes before inserts at each abscissa.
@@ -399,7 +401,7 @@ def nesting_forest_with_stats(
             poly = rescaled(poly, scale, memo)
         deco = assign_parities(poly, decompose(poly))
         segments.extend(deco.segments)
-        n_vertices += len(poly.vertices)
+        n_vertices += len(poly.xs)
 
     try:
         events = build_events(segments)

@@ -51,6 +51,10 @@ def test_make_polygon_rejects_bad_input():
         make_polygon("X", [(0, 0), (1, 0)])
     with pytest.raises(DuplicateConsecutiveVertex):
         make_polygon("X", [(0, 0), (0, 0), (1, 1)])
+    # The last vertex equals the first: the closing edge has length zero.
+    with pytest.raises(DuplicateConsecutiveVertex) as exc:
+        make_polygon("X", [(0, 0), (4, 0), (0, 4), (0, 0)])
+    assert str(exc.value) == "polygon 'X': vertex 3 repeats at Point(x=0, y=0)"
     with pytest.raises(DegenerateAllCollinear):
         make_polygon("X", [(0, 0), (1, 1), (2, 2)])
 

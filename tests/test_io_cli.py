@@ -11,12 +11,20 @@ from pathlib import Path
 import pytest
 
 from nestpoly import (
+    DegenerateAllCollinear,
+    DuplicateConsecutiveVertex,
+    Edge,
     ParseError,
+    Point,
     SemanticError,
+    TooFewVertices,
+    decompose,
+    forest_document,
     make_polygon,
     parse_instance,
     serialize_forest,
     serialize_instance,
+    transform,
 )
 from nestpoly.cli import main
 from nestpoly.forest import NestingForest
@@ -73,6 +81,32 @@ def test_parse_rejects_floats_and_duplicates():
         )
 
 
+@pytest.mark.parametrize(
+    "vertices, error, message",
+    [
+        ([[0, 0], [4, 0]], TooFewVertices, "2 vertices"),
+        (
+            [[0, 0], [4, 0], [4, 0], [0, 4]],
+            DuplicateConsecutiveVertex,
+            "vertex 1 repeats at Point(x=4, y=0)",
+        ),
+        (
+            [[0, 0], [4, 0], [0, 4], [0, 0]],
+            DuplicateConsecutiveVertex,
+            "vertex 3 repeats at Point(x=0, y=0)",
+        ),
+        ([[0, 0], ["0.5", "0.5"], [2, 2]], DegenerateAllCollinear, "zero area"),
+    ],
+    ids=["too-few", "duplicate", "wrap-around-duplicate", "collinear"],
+)
+def test_parse_wraps_polygon_errors(vertices, error, message):
+    doc = json.dumps({"polygons": [{"id": "A", "vertices": vertices}]})
+    with pytest.raises(SemanticError) as exc:
+        parse_instance(doc)
+    assert str(exc.value) == f"polygon 'A': polygon 'A': {message}"
+    assert isinstance(exc.value.__cause__, error)
+
+
 def test_parse_error_reports_position():
     with pytest.raises(ParseError) as exc:
         parse_instance('{"polygons": [')
@@ -91,6 +125,56 @@ def test_round_trip_rational_coordinates():
     p = make_polygon("R", [("0.5", 0), ("4.25", 0), (2, "3.1")])
     again = parse_instance(serialize_instance([p]))
     assert again[0].vertices == p.vertices
+
+
+@pytest.mark.parametrize(
+    "stats", [None, {}, {"m": 3, "n": 9, "nested": {"ids": ["a", "b"]}}]
+)
+def test_serialize_forest_matches_json_dumps(stats):
+    forest = NestingForest(
+        {
+            'quo"te': None,
+            "back\\slash": 'quo"te',
+            "caf\u00e9 \u4e2d": "back\\slash",
+            "tab\tnew\nline": None,
+            "\U0001f600": "tab\tnew\nline",
+        }
+    )
+    want = json.dumps(forest_document(forest, stats), indent=2) + "\n"
+    assert serialize_forest(forest, stats) == want
+    empty = NestingForest({})
+    assert serialize_forest(empty) == json.dumps(
+        forest_document(empty), indent=2
+    ) + "\n"
+
+
+def test_nest_builds_no_point_or_edge(monkeypatch, tmp_path, small_corpus):
+    polygons = small_corpus[3]
+    instances = [
+        serialize_instance(polygons),
+        serialize_instance(transform(polygons, scale=Fraction(3, 1000))),
+    ]
+    built = {"Point": 0, "Edge": 0}
+    for cls in (Point, Edge):
+        original = cls.__new__
+
+        def counting(c, *args, _original=original):
+            built[c.__name__] += 1
+            return _original(c, *args)
+
+        monkeypatch.setattr(cls, "__new__", counting)
+    for k, text in enumerate(instances):
+        path = tmp_path / f"in{k}.json"
+        path.write_text(text)
+        assert main(["nest", "-i", str(path), "-o", str(tmp_path / "out")]) == 0
+    assert built == {"Point": 0, "Edge": 0}
+    # The counters do see the views, which are built once and then kept.
+    p = make_polygon("Z", [(0, 0), (4, 0), (4, 2), (6, 2), (0, 6)])
+    assert p.edges is p.edges and p.vertices is p.vertices
+    assert built == {"Point": 5, "Edge": 5}
+    s = decompose(p).segments[0]
+    assert s.edges is s.edges and s.span_edges is s.span_edges
+    assert len(s.span_edges) < len(s.edges)
 
 
 def test_forest_document_sorted():
