@@ -42,21 +42,15 @@ from .oracle import (
     ValidationReport,
     brute_force_forest,
     interior_point,
-    parity_oracle,
     point_in_polygon,
     validate,
-    winding_location,
 )
-from .ordering import Rel, cmp_at
 from .render import render_svg
 from .segments import (
     MaxSegment,
     SegmentDecomposition,
     assign_parities,
-    count_N,
     decompose,
-    satisfies_property_O,
-    y_at,
 )
 from .sweep import (
     SweepStatus,

@@ -46,7 +46,7 @@ def time_sweep(polygons, repeat: int = 5) -> List[int]:
     try:
         for _ in range(repeat):
             t0 = time.perf_counter_ns()
-            nesting_forest_with_stats(polygons, debug=False)
+            nesting_forest_with_stats(polygons)
             samples.append(time.perf_counter_ns() - t0)
     finally:
         if gc_was_enabled:
@@ -65,7 +65,7 @@ def run_benchmark(
     rows = []
     for m in sizes:
         polygons = disjoint_instance(m, shape=shape, seed=seed)
-        _, stats = nesting_forest_with_stats(polygons, debug=False)
+        _, stats = nesting_forest_with_stats(polygons)
         sweep_ns = int(statistics.median(time_sweep(polygons, repeat)))
         oracle_ns = None
         if m <= oracle_cutoff:

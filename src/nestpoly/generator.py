@@ -19,13 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import GenerationFailed
 from .geometry import Point, Polygon, cross, make_polygon
-from .oracle import (
-    PointLocation,
-    _midpoint,
-    _split_points,
-    on_edge,
-    point_in_polygon,
-)
+from .oracle import on_edge
 
 MIN_W = 16
 MIN_H = 12
@@ -193,22 +187,6 @@ def _make_star(rng: random.Random, box, core) -> List[Point]:
                 continue
         verts.append(p)
     return verts
-
-
-def _box_contained(polygon: Polygon, box) -> bool:
-    """Exact check that the closed box lies in the closed polygon region."""
-    x0, y0, x1, y1 = box
-    corners = [Point(x0, y0), Point(x1, y0), Point(x1, y1), Point(x0, y1)]
-    for c in corners:
-        if point_in_polygon(c, polygon) is PointLocation.OUTSIDE:
-            return False
-    rect = make_polygon("_box", corners)
-    for e in rect.edges:
-        pieces = _split_points(e, polygon)
-        for a, b in zip(pieces, pieces[1:]):
-            if point_in_polygon(_midpoint(a, b), polygon) is PointLocation.OUTSIDE:
-                return False
-    return True
 
 
 def _build_shape(rng: random.Random, shape: str, box, core):

@@ -1,8 +1,8 @@
 """Brute-force reference implementations and instance validation.
 
-Everything here is deliberately independent of the sweep: point location by
-ray casting (double-checked by a winding-number variant), containment by a
-single interior point per polygon, and a quadratic overlap validator. All
+Everything here is deliberately independent of the sweep and of the segment
+decomposition: point location by ray casting, containment by a single
+interior point per polygon, and a quadratic overlap validator. All
 arithmetic is exact.
 """
 
@@ -13,10 +13,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .errors import ContainmentCycle, DegeneratePolygon, OutOfDomain
+from .errors import ContainmentCycle, DegeneratePolygon
 from .forest import NestingForest
 from .geometry import Coord, Edge, Point, Polygon, cross
-from .segments import MaxSegment, count_N, decompose
 
 
 class PointLocation(enum.Enum):
@@ -60,28 +59,6 @@ def point_in_polygon(p: Point, polygon: Polygon) -> PointLocation:
             if ay * dx + (px - ax) * (by - ay) > py * dx:
                 crossings += 1
     return PointLocation.INSIDE if crossings % 2 else PointLocation.OUTSIDE
-
-
-def winding_location(p: Point, polygon: Polygon) -> PointLocation:
-    """Independent point location via the winding number.
-
-    Uses upward/downward crossings of the horizontal line through p with
-    orientation tests; agrees with point_in_polygon on simple polygons.
-    """
-    px, py = p.x, p.y
-    for e in polygon.edges:
-        d = cross(e.a, e.b, p)
-        if d == 0 and _between(e.a.x, px, e.b.x) and _between(e.a.y, py, e.b.y):
-            return PointLocation.BOUNDARY
-    winding = 0
-    for e in polygon.edges:
-        if e.a.y <= py:
-            if e.b.y > py and cross(e.a, e.b, p) > 0:
-                winding += 1
-        else:
-            if e.b.y <= py and cross(e.a, e.b, p) < 0:
-                winding -= 1
-    return PointLocation.INSIDE if winding != 0 else PointLocation.OUTSIDE
 
 
 def _half(v: Coord):
@@ -209,13 +186,6 @@ def brute_force_forest(polygons: Sequence[Polygon]) -> NestingForest:
         else:
             parent[p.id] = None
     return NestingForest(parent)
-
-
-def parity_oracle(polygon: Polygon, segment: MaxSegment) -> int:
-    """Interior-side parity from first principles: parity of the number of
-    same-polygon segments at or above the segment at its x-midpoint."""
-    xi = _half(segment.min_v.x + segment.max_v.x)
-    return count_N(polygon, segment, xi) % 2
 
 
 # --- Validation -------------------------------------------------------------

@@ -11,7 +11,6 @@ segments never changes, so stored order stays valid as the sweep advances.
 from __future__ import annotations
 
 import math
-import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,8 +28,6 @@ from .errors import (
 from .forest import NestingForest
 from .geometry import Coord, Polygon, _normalize, rescaled
 from .segments import MaxSegment, assign_parities, decompose
-
-DEBUG_ENV = "NESTPOLY_DEBUG_ASSERT"
 
 
 class StatusEntry:
@@ -62,9 +59,6 @@ class StatusEntry:
         self.end = bx = seg.xs[k + 1]
         self.dx = bx - ax
         self.dy = seg.ys[k + 1] - ay
-
-    def current_edge(self):
-        return self.segment.edges[self.cursor]
 
 
 def advance_current_edge(entry: StatusEntry, xi) -> StatusEntry:
@@ -166,10 +160,10 @@ class SweepStatus:
     one after the other, top to bottom.
     """
 
-    def __init__(self, seed: int = 0):
+    def __init__(self):
         self.root: Optional[StatusEntry] = None
         self.xi = None
-        self._rng = random.Random(seed)
+        self._rng = random.Random(0)
         self._entries: Dict[int, StatusEntry] = {}
         self._last: Optional[StatusEntry] = None
 
@@ -363,14 +357,14 @@ class SweepStats:
 
 
 def nesting_forest(
-    polygons: Sequence[Polygon], debug: Optional[bool] = None
+    polygons: Sequence[Polygon], debug: bool = False
 ) -> NestingForest:
     forest, _ = nesting_forest_with_stats(polygons, debug=debug)
     return forest
 
 
 def nesting_forest_with_stats(
-    polygons: Sequence[Polygon], debug: Optional[bool] = None
+    polygons: Sequence[Polygon], debug: bool = False
 ) -> Tuple[NestingForest, SweepStats]:
     """Compute immediate containers for overlap-free, possibly touching
     polygons in O(n + N log N).
@@ -380,14 +374,10 @@ def nesting_forest_with_stats(
     so every comparison is on ints; the forest does not change under
     positive scaling, and error witnesses are given in input units.
 
-    Raises SemanticError when two polygons share an id. With debug
-    assertions on (argument or NESTPOLY_DEBUG_ASSERT=1) the status order is
-    re-verified after every insertion; this makes the sweep quadratic and is
-    meant for tests only.
+    Raises SemanticError when two polygons share an id. With debug on, the
+    status order is re-verified after every insertion; this makes the sweep
+    quadratic and is meant for tests only.
     """
-    if debug is None:
-        debug = os.environ.get(DEBUG_ENV, "") == "1"
-
     scale = math.lcm(*(poly.denominator for poly in polygons))
     memo: Dict[Coord, int] = {}
     seen: Set[str] = set()

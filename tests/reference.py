@@ -1,0 +1,257 @@
+"""Reference checks that the tests run against the library.
+
+None of this runs in `nestpoly nest`: point location by winding number, the
+three x-monotonicity checkers, the direct segment count behind each parity,
+an any-two-segments view of the sweep's vertical order, and the Point/Edge
+views of a segment that these checks read.
+"""
+
+from __future__ import annotations
+
+import enum
+import math
+from bisect import bisect_right
+from fractions import Fraction
+from typing import Optional, Sequence, Tuple
+
+from nestpoly import make_polygon
+from nestpoly.errors import OutOfDomain
+from nestpoly.geometry import Coord, Edge, Point, Polygon, _normalize, cross
+from nestpoly.oracle import PointLocation, _between, _half
+from nestpoly.segments import MaxSegment, SegmentDecomposition, decompose
+from nestpoly.sweep import StatusEntry, _after, _height_num, advance_current_edge
+
+
+# --- Point/Edge views of a maximal segment -----------------------------------
+
+
+def segment_edges(segment: MaxSegment) -> Tuple[Edge, ...]:
+    """The segment's edges left to right, each non-vertical one oriented
+    left to right."""
+    v = tuple(map(Point, segment.xs, segment.ys))
+    return tuple(map(Edge, v, v[1:]))
+
+
+def span_edges(segment: MaxSegment) -> Tuple[Edge, ...]:
+    """The non-vertical edges; their half-open x-intervals partition
+    [xs[0], xs[-1])."""
+    return tuple(e for e in segment_edges(segment) if e.a.x != e.b.x)
+
+
+def edge_at(segment: MaxSegment, xi) -> Edge:
+    """Non-vertical edge associated with xi.
+
+    For xs[0] <= xi < xs[-1] this is the unique span edge whose half-open
+    x-interval contains xi; at xi == xs[-1] it is the last span edge.
+    """
+    xs = segment.xs
+    if xi < xs[0] or xi > xs[-1]:
+        raise OutOfDomain(
+            f"x={xi} outside [{xs[0]}, {xs[-1]}] "
+            f"of a segment of polygon {segment.polygon_id!r}"
+        )
+    # The last vertex at or left of xi starts a non-vertical edge.
+    k = min(bisect_right(xs, xi), len(xs) - 1) - 1
+    ys = segment.ys
+    return Edge(Point(xs[k], ys[k]), Point(xs[k + 1], ys[k + 1]))
+
+
+def y_at(segment: MaxSegment, xi) -> Coord:
+    """Height of the segment at abscissa xi (closed domain)."""
+    e = edge_at(segment, xi)
+    num = e.a.y * (e.b.x - e.a.x) + (xi - e.a.x) * (e.b.y - e.a.y)
+    den = e.b.x - e.a.x
+    if isinstance(num, int) and isinstance(den, int):
+        return _normalize(Fraction(num, den))
+    return _normalize(Fraction(num) / Fraction(den))
+
+
+# --- Vertical order of two segments -------------------------------------------
+
+
+class Rel(enum.Enum):
+    BEFORE = -1
+    AFTER = 1
+    SAME = 0
+
+
+def cmp_at(xi, a: MaxSegment, b: MaxSegment) -> Rel:
+    """Order of two segments at abscissa xi; Before means a comes first.
+
+    The first segment in this order is the topmost one. Requires xi in
+    both segments' closed x-extents; at a segment's right end its last
+    edge counts. The order is the sweep status comparator's.
+    """
+    if a is b:
+        return Rel.SAME
+    ea = advance_current_edge(StatusEntry(a), xi)
+    eb = advance_current_edge(StatusEntry(b), xi)
+    if _after(ea, _height_num(ea, xi), ea.dx, eb, xi):
+        return Rel.AFTER
+    return Rel.BEFORE
+
+
+# --- Three independent checkers for the x-monotonicity property ------------
+#
+# A boundary subpath qualifies as (part of) an x-monotone segment exactly
+# when its non-vertical edges cover pairwise disjoint half-open x-intervals.
+# The three functions below decide that predicate in unrelated ways so they
+# can be cross-validated against each other.
+
+
+def satisfies_property_O(edges: Sequence[Edge]) -> bool:
+    """Disjointness of the half-open x-intervals of non-vertical edges."""
+    spans = sorted(
+        (min(e.a.x, e.b.x), max(e.a.x, e.b.x)) for e in edges if not e.is_vertical
+    )
+    for i in range(1, len(spans)):
+        if spans[i][0] < spans[i - 1][1]:
+            return False
+    return True
+
+
+def check_terminal_monotone(edges: Sequence[Edge]) -> bool:
+    """Equivalent check via extreme vertices and path monotonicity.
+
+    The path's x-extremes must occur at its terminal vertices, and from a
+    minimum-x vertex the x-coordinate must be non-decreasing towards both
+    terminals.
+    """
+    if not edges:
+        return True
+    verts = [edges[0].a] + [e.b for e in edges]
+    xs = [p.x for p in verts]
+    lo, hi = min(xs), max(xs)
+    if lo not in (xs[0], xs[-1]) or hi not in (xs[0], xs[-1]):
+        return False
+    for root in range(len(verts)):
+        if xs[root] != lo:
+            continue
+        back = all(xs[i] >= xs[i + 1] for i in range(root))
+        fwd = all(xs[i] <= xs[i + 1] for i in range(root, len(verts) - 1))
+        if back and fwd:
+            return True
+    return False
+
+
+def check_unique_cover(edges: Sequence[Edge]) -> bool:
+    """Equivalent check via coverage counting.
+
+    Every abscissa in the path's half-open x-extent must be covered by
+    exactly one non-vertical edge. Piecewise linearity makes it enough to
+    test the edge breakpoints and the midpoints between them.
+    """
+    if not edges:
+        return True
+    verts = [edges[0].a] + [e.b for e in edges]
+    lo = min(p.x for p in verts)
+    hi = max(p.x for p in verts)
+    if lo == hi:
+        return True
+    spans = [
+        (min(e.a.x, e.b.x), max(e.a.x, e.b.x)) for e in edges if not e.is_vertical
+    ]
+    breakpoints = sorted({x for span in spans for x in span} | {lo, hi})
+    probes = []
+    for i, x in enumerate(breakpoints):
+        if lo <= x < hi:
+            probes.append(x)
+        if i + 1 < len(breakpoints):
+            mid = (x + breakpoints[i + 1]) / 2 if isinstance(x, Fraction) or isinstance(
+                breakpoints[i + 1], Fraction
+            ) else Fraction(x + breakpoints[i + 1], 2)
+            if lo <= mid < hi:
+                probes.append(mid)
+    for xi in probes:
+        covered = sum(1 for a, b in spans if a <= xi < b)
+        if covered != 1:
+            return False
+    return True
+
+
+# --- Interior-side parity from first principles --------------------------------
+
+
+def count_N(
+    polygon: Polygon,
+    segment: MaxSegment,
+    xi,
+    decomposition: Optional[SegmentDecomposition] = None,
+) -> int:
+    """Number of segments of the polygon lying at or above the segment at xi.
+
+    Counts the segments whose half-open x-extent contains xi and whose
+    height there is >= the queried segment's height. The queried segment
+    counts itself, so the result is always >= 1. Requires xi strictly
+    between the segment's x-extremes.
+    """
+    if not (segment.xs[0] < xi < segment.xs[-1]):
+        raise OutOfDomain(
+            f"x={xi} not strictly inside ({segment.xs[0]}, {segment.xs[-1]})"
+        )
+    if decomposition is None:
+        decomposition = decompose(polygon)
+    base = y_at(segment, xi)
+    count = 0
+    for other in decomposition.segments:
+        if other.xs[0] <= xi < other.xs[-1] and y_at(other, xi) >= base:
+            count += 1
+    return count
+
+
+def parity_oracle(polygon: Polygon, segment: MaxSegment) -> int:
+    """Interior-side parity from first principles: parity of the number of
+    same-polygon segments at or above the segment at its x-midpoint."""
+    xi = _half(segment.xs[0] + segment.xs[-1])
+    return count_N(polygon, segment, xi) % 2
+
+
+# --- Point location by winding number ------------------------------------------
+
+
+def winding_location(p: Point, polygon: Polygon) -> PointLocation:
+    """Independent point location via the winding number.
+
+    Uses upward/downward crossings of the horizontal line through p with
+    orientation tests; agrees with point_in_polygon on simple polygons.
+    """
+    px, py = p.x, p.y
+    for e in polygon.edges:
+        d = cross(e.a, e.b, p)
+        if d == 0 and _between(e.a.x, px, e.b.x) and _between(e.a.y, py, e.b.y):
+            return PointLocation.BOUNDARY
+    winding = 0
+    for e in polygon.edges:
+        if e.a.y <= py:
+            if e.b.y > py and cross(e.a, e.b, p) > 0:
+                winding += 1
+        else:
+            if e.b.y <= py and cross(e.a, e.b, p) < 0:
+                winding -= 1
+    return PointLocation.INSIDE if winding != 0 else PointLocation.OUTSIDE
+
+
+# --- Random inputs for the checkers ----------------------------------------------
+
+
+def _random_subpath(rng, polygon):
+    n = len(polygon.edges)
+    start = rng.randrange(n)
+    length = rng.randint(1, min(n - 1, 8))
+    return [polygon.edges[(start + j) % n] for j in range(length)]
+
+
+def _crosses_reversal(edges):
+    dirs = [1 if e.a.x < e.b.x else -1 for e in edges if not e.is_vertical]
+    return any(a != b for a, b in zip(dirs, dirs[1:]))
+
+
+def _near_regular_ngon(n, rot):
+    # Convex n-gon: rational points near a circle, in angular order. The
+    # rounding perturbation is far too small to break strict convexity.
+    scale = 10**6
+    pts = []
+    for k in range(n):
+        ang = rot + 2 * math.pi * k / n
+        pts.append((round(math.cos(ang) * scale), round(math.sin(ang) * scale)))
+    return make_polygon(f"G{n}", pts)

@@ -18,9 +18,10 @@ from nestpoly.errors import (
     OutOfDomain,
 )
 from nestpoly.geometry import cross
-from nestpoly.segments import y_at
+from nestpoly.sweep import StatusEntry, _height_num, advance_current_edge
 
 from conftest import segments_of
+from reference import span_edges
 
 
 def test_coord_exact_decimal():
@@ -165,19 +166,28 @@ def _upper_triangle_segment():
     return upper[0]
 
 
+def _height_and_slope(segment, xi):
+    """The sweep's height formula and edge slope at xi, on a fresh cursor."""
+    entry = advance_current_edge(StatusEntry(segment), xi)
+    return (
+        Fraction(_height_num(entry, xi)) / entry.dx,
+        Fraction(entry.dy) / entry.dx,
+    )
+
+
 def test_y_at_triangle():
     s = _upper_triangle_segment()
-    assert y_at(s, 2) == 3
-    assert y_at(s, 3) == Fraction(3, 2)
+    assert _height_and_slope(s, 2) == (3, Fraction(-3, 2))
+    assert _height_and_slope(s, 3)[0] == Fraction(3, 2)
     with pytest.raises(OutOfDomain):
-        y_at(s, 5)
+        _height_and_slope(s, 5)
 
 
 def _naive_eval(segment, xi):
     # Linear scan over the segment's edges, ignoring its index structure.
-    for e in segment.span_edges:
+    for e in span_edges(segment):
         lo, hi = e.a.x, e.b.x
-        if lo <= xi < hi or (xi == segment.max_v.x and hi == xi):
+        if lo <= xi < hi or (xi == segment.xs[-1] and hi == xi):
             t = (Fraction(xi) - lo) / (hi - lo)
             slope = Fraction(e.b.y - e.a.y) / (hi - lo)
             return e.a.y + t * (e.b.y - e.a.y), slope
@@ -189,12 +199,9 @@ def test_eval_matches_naive_scan(small_corpus):
     for polygons in small_corpus[:8]:
         for p in polygons:
             for s in segments_of(p):
-                lo, hi = s.min_v.x, s.max_v.x
+                lo, hi = s.xs[0], s.xs[-1]
                 for _ in range(10):
                     xi = lo + Fraction(
                         rng.randint(0, 999), 1000
                     ) * (hi - lo)
-                    want_y, want_slope = _naive_eval(s, xi)
-                    assert y_at(s, xi) == want_y
-                    e = s.edge_at(xi)
-                    assert Fraction(e.b.y - e.a.y, e.b.x - e.a.x) == want_slope
+                    assert _height_and_slope(s, xi) == _naive_eval(s, xi)

@@ -18,7 +18,6 @@ from nestpoly import (
     Point,
     SemanticError,
     TooFewVertices,
-    decompose,
     forest_document,
     make_polygon,
     parse_instance,
@@ -172,9 +171,6 @@ def test_nest_builds_no_point_or_edge(monkeypatch, tmp_path, small_corpus):
     p = make_polygon("Z", [(0, 0), (4, 0), (4, 2), (6, 2), (0, 6)])
     assert p.edges is p.edges and p.vertices is p.vertices
     assert built == {"Point": 5, "Edge": 5}
-    s = decompose(p).segments[0]
-    assert s.edges is s.edges and s.span_edges is s.span_edges
-    assert len(s.span_edges) < len(s.edges)
 
 
 def test_forest_document_sorted():

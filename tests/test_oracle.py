@@ -12,13 +12,12 @@ from nestpoly import (
     brute_force_forest,
     interior_point,
     make_polygon,
-    parity_oracle,
     point_in_polygon,
     validate,
-    winding_location,
 )
 
 from conftest import segments_of, square, top_bottom
+from reference import parity_oracle, winding_location
 
 
 def test_point_in_polygon_examples():
@@ -161,3 +160,41 @@ def test_parity_oracle_matches_assignment(small_corpus):
         for p in polygons:
             for s in segments_of(p):
                 assert parity_oracle(p, s) == s.parity
+
+
+def test_library_keeps_no_test_only_helpers():
+    import ast
+    import importlib
+
+    import nestpoly
+    import nestpoly.oracle
+    import nestpoly.segments
+    from nestpoly.segments import MaxSegment, SegmentDecomposition
+    from nestpoly.sweep import StatusEntry
+
+    moved = (
+        "satisfies_property_O", "check_terminal_monotone",
+        "check_unique_cover", "count_N", "y_at", "parity_oracle",
+        "winding_location", "Rel", "cmp_at",
+    )
+    for owner, names in (
+        (nestpoly, moved),
+        (nestpoly.segments, moved),
+        (nestpoly.oracle, moved),
+        (MaxSegment, ("edges", "span_edges", "min_v", "max_v", "edge_at")),
+        (SegmentDecomposition, ("connector_runs", "polygon_id", "polygon")),
+        (StatusEntry, ("current_edge",)),
+    ):
+        for name in names:
+            assert not hasattr(owner, name), (owner.__name__, name)
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("nestpoly.ordering")
+    # The oracle checks the decomposition and the sweep, so it reads neither.
+    with open(nestpoly.oracle.__file__, encoding="utf-8") as f:
+        tree = ast.parse(f.read())
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [getattr(node, "module", None) or ""]
+            names += [alias.name for alias in node.names]
+            for name in names:
+                assert not set(name.split(".")) & {"segments", "sweep"}, name

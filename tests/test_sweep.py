@@ -20,7 +20,6 @@ from nestpoly import (
     transform,
 )
 from nestpoly.errors import OutOfDomain
-from nestpoly.ordering import Rel, cmp_at
 from nestpoly.sweep import (
     StatusEntry,
     SweepStatus,
@@ -29,6 +28,7 @@ from nestpoly.sweep import (
 )
 
 from conftest import segments_of, square, top_bottom
+from reference import Rel, cmp_at
 
 
 def all_segments(polygons):
@@ -116,14 +116,14 @@ def test_status_remove_keeps_order(nested_squares):
 
 def test_advance_current_edge_staircase():
     p = make_polygon("Z", [(0, 0), (4, 0), (4, 2), (6, 2), (6, 6), (0, 6)])
-    bottom = next(s for s in segments_of(p) if len(s.span_edges) == 2)
+    bottom = next(s for s in segments_of(p) if len(s.xs) == 4)
     entry = StatusEntry(bottom)
-    assert entry.current_edge().a.y == 0
+    assert (entry.ax, entry.ay, entry.end) == (0, 0, 4)
     advance_current_edge(entry, 5)
-    assert entry.current_edge().a == (4, 2)
+    assert (entry.ax, entry.ay, entry.end) == (4, 2, 6)
     # Forward-only and idempotent: a smaller xi on the same edge is a no-op.
     advance_current_edge(entry, 5)
-    assert entry.current_edge().a == (4, 2)
+    assert (entry.ax, entry.ay, entry.end) == (4, 2, 6)
     with pytest.raises(OutOfDomain):
         advance_current_edge(entry, 7)
 
@@ -137,18 +137,20 @@ def test_advance_current_edge_postcondition(small_corpus):
         for p in polygons:
             for s in segments_of(p):
                 entry = StatusEntry(s)
-                lo, hi = s.min_v.x, s.max_v.x
+                lo, hi = s.xs[0], s.xs[-1]
                 xs = sorted(
                     lo + Fraction(rng.randint(0, 1000), 1000) * (hi - lo)
                     for _ in range(5)
                 )
                 for xi in xs:
                     advance_current_edge(entry, xi)
-                    e = entry.current_edge()
                     if xi == hi:
-                        assert e is s.span_edges[-1]
+                        # The last edge, which is not vertical.
+                        assert (entry.ax, entry.ay, entry.end) == (
+                            s.xs[-2], s.ys[-2], s.xs[-1]
+                        )
                     else:
-                        assert e.a.x <= xi < e.b.x
+                        assert entry.ax <= xi < entry.end
 
 
 def test_forest_nested(nested_squares):
@@ -241,9 +243,7 @@ def test_decimal_input_sweeps_on_ints(monkeypatch, small_corpus):
     assert any(p.denominator > 1 for p in polygons)
     nesting_forest(polygons)
     assert received
-    coords = [
-        c for s in received for e in s.span_edges for pt in e for c in pt
-    ]
+    coords = [c for s in received for c in s.xs + s.ys]
     assert all(type(c) is int for c in coords)
 
 
