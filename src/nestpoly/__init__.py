@@ -29,7 +29,6 @@ from .geometry import (
     Polygon,
     coord,
     make_polygon,
-    shoelace_area,
 )
 from .instance_io import (
     forest_document,

@@ -1,10 +1,14 @@
 """Exact planar primitives: coordinates, points, edges and polygons.
 
-All arithmetic is exact. Coordinates are either Python ints or
-fractions.Fraction values; the two interoperate freely, and integer inputs
-stay integers so the common all-integer case runs on fast int arithmetic.
-Each Polygon records the common denominator of its coordinates, so that a
-whole instance can be rescaled to ints (see `rescaled`).
+All arithmetic is exact. A coordinate as the caller gives it, and as coord()
+returns it, is a Python int or a fractions.Fraction. A Polygon holds its
+vertex cycle as two columns of ints over one common denominator: vertex i is
+(xs[i] / denominator, ys[i] / denominator). Integer input has denominator 1,
+so its columns are the input itself; decimal or rational input is scaled up
+to ints once, when the polygon is built, and every later comparison runs on
+ints. Code that works in input units (the oracle, the renderer, the
+generator, the instance writer, error messages) reads the views vertices,
+edges, area, x_min and x_max, which divide back.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from fractions import Fraction
 from itertools import compress
 from numbers import Rational
 from operator import and_, eq, mul
-from typing import Dict, Iterable, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Iterable, NamedTuple, Optional, Tuple, Union
 
 from .errors import (
     DegenerateAllCollinear,
@@ -39,19 +43,39 @@ def coord(value) -> Coord:
         raise ValueError("boolean is not a coordinate")
     if isinstance(value, int):
         return value
-    if isinstance(value, Fraction):
-        return _normalize(value)
     if isinstance(value, Rational):
-        return _normalize(Fraction(value.numerator, value.denominator))
+        return unscale(value.numerator, value.denominator)
     if isinstance(value, str):
-        if not _NUMBER_RE.match(value):
-            raise ValueError(f"not an integer or finite decimal: {value!r}")
-        return _normalize(Fraction(value))
+        return unscale(*decimal_ratio(value))
     raise ValueError(f"unsupported coordinate type: {type(value).__name__}")
 
 
-def _normalize(value: Fraction) -> Coord:
-    return value.numerator if value.denominator == 1 else value
+def decimal_ratio(text: str) -> Tuple[int, int]:
+    """(numerator, denominator) in lowest terms of integer or decimal text.
+
+    The text must match -?[0-9]+(.[0-9]+)? in ASCII digits only: int()
+    alone would also take "1_0", " 5" and other scripts' digits. The
+    conversion runs on ints, digit group by digit group as Fraction does.
+    """
+    if not _NUMBER_RE.match(text):
+        raise ValueError(f"not an integer or finite decimal: {text!r}")
+    whole, _, fraction = text.lstrip("-").partition(".")
+    num = int(whole)
+    den = 1
+    if fraction:
+        den = 10 ** len(fraction)
+        num = num * den + int(fraction)
+        common = math.gcd(num, den)
+        num //= common
+        den //= common
+    return (-num if text[0] == "-" else num), den
+
+
+def unscale(value: int, denominator: int) -> Coord:
+    """value / denominator as coord() gives it: an int when it divides."""
+    if value % denominator == 0:
+        return value // denominator
+    return Fraction(value, denominator)
 
 
 class Point(NamedTuple):
@@ -81,50 +105,34 @@ def cross(o: Point, a: Point, b: Point) -> Coord:
     return (a.x - o.x) * (b.y - o.y) - (a.y - o.y) * (b.x - o.x)
 
 
-def shoelace_area(vertices: Sequence[Point]) -> Coord:
-    """Unsigned area of the polygon with the given vertex cycle."""
-    return _div2(abs(signed_area2(vertices)))
-
-
-def signed_area2(vertices: Sequence[Point]) -> Coord:
-    """Twice the signed area; >0 for counterclockwise vertex order."""
-    xs = [p.x for p in vertices]
-    ys = [p.y for p in vertices]
-    return _twice_area(xs, ys, xs[1:] + xs[:1], ys[1:] + ys[:1])
-
-
-def _twice_area(xs, ys, next_xs, next_ys) -> Coord:
+def _twice_area(xs, ys, next_xs, next_ys) -> int:
     # The shoelace sum over the columns; next_* are the columns shifted by
     # one vertex, so that each pair of entries is one edge.
     return sum(map(mul, xs, next_ys)) - sum(map(mul, next_xs, ys))
 
 
-def _div2(value: Coord) -> Coord:
-    if isinstance(value, int):
-        if value % 2 == 0:
-            return value // 2
-        return Fraction(value, 2)
-    return _normalize(value / 2)
+def unscaled_point(x: int, y: int, denominator: int) -> Point:
+    """The vertex with column entries x, y over denominator, in input units."""
+    return Point(unscale(x, denominator), unscale(y, denominator))
 
 
 @dataclass(eq=False, slots=True)
 class Polygon:
-    """Simple polygon held as two coordinate columns; build via make_polygon.
+    """Simple polygon held as two int columns; build via make_polygon.
 
-    xs[i], ys[i] is vertex i of the cycle, each coordinate an int or a
-    Fraction as coord() returns it. vertices and edges are views of the
-    columns, built on first access and then kept, for code that wants
-    Points and Edges; the sweep reads the columns only. Treat a Polygon
-    as immutable.
+    Vertex i of the cycle is (xs[i] / denominator, ys[i] / denominator), and
+    twice_area is twice the area in the units of the columns, so
+    area == twice_area / (2 * denominator**2). The sweep reads the columns
+    and twice_area only. vertices, edges, area, x_min and x_max give the
+    polygon in input units, ints or Fractions as coord() returns them;
+    vertices and edges are built on first access and then kept. Treat a
+    Polygon as immutable.
     """
 
     id: str
-    xs: Tuple[Coord, ...]
-    ys: Tuple[Coord, ...]
-    area: Coord
-    x_min: Coord
-    x_max: Coord
-    # Least common denominator of all coordinates; 1 when all are ints.
+    xs: Tuple[int, ...]
+    ys: Tuple[int, ...]
+    twice_area: int
     denominator: int = 1
     _vertices: Optional[Tuple[Point, ...]] = field(
         default=None, init=False, repr=False
@@ -137,7 +145,11 @@ class Polygon:
     def vertices(self) -> Tuple[Point, ...]:
         v = self._vertices
         if v is None:
-            v = self._vertices = tuple(map(Point, self.xs, self.ys))
+            xs, ys, d = self.xs, self.ys, self.denominator
+            if d != 1:
+                xs = [unscale(x, d) for x in xs]
+                ys = [unscale(y, d) for y in ys]
+            v = self._vertices = tuple(map(Point, xs, ys))
         return v
 
     @property
@@ -148,13 +160,40 @@ class Polygon:
             e = self._edges = tuple(map(Edge, v, v[1:] + v[:1]))
         return e
 
+    @property
+    def area(self) -> Coord:
+        return unscale(self.twice_area, 2 * self.denominator**2)
+
+    @property
+    def x_min(self) -> Coord:
+        return unscale(min(self.xs), self.denominator)
+
+    @property
+    def x_max(self) -> Coord:
+        return unscale(max(self.xs), self.denominator)
+
+    def over(self, denominator: int) -> Polygon:
+        """This polygon with its columns over denominator, a multiple of its
+        own denominator: int multiplies only."""
+        f = denominator // self.denominator
+        if f == 1:
+            return self
+        return Polygon(
+            self.id,
+            tuple([x * f for x in self.xs]),
+            tuple([y * f for y in self.ys]),
+            self.twice_area * f * f,
+            denominator,
+        )
+
 
 def make_polygon(poly_id: str, vertices: Iterable) -> Polygon:
     """Validate a vertex cycle and build an immutable Polygon.
 
     Each vertex is an (x, y) pair whose coordinates go through coord():
     ints, Rationals and decimal text are accepted, bools and floats are
-    not. Raises TooFewVertices, DuplicateConsecutiveVertex, or
+    not. The polygon's denominator is the least common denominator of its
+    coordinates. Raises TooFewVertices, DuplicateConsecutiveVertex, or
     DegenerateAllCollinear for inputs that cannot bound an interior.
     Collinear consecutive vertices are permitted.
     """
@@ -163,17 +202,23 @@ def make_polygon(poly_id: str, vertices: Iterable) -> Polygon:
     for x, y in vertices:
         xs.append(coord(x))
         ys.append(coord(y))
-    return polygon_from_columns(poly_id, tuple(xs), tuple(ys))
+    # An int's denominator is 1.
+    den = math.lcm(*(c.denominator for c in xs + ys))
+    if den != 1:
+        xs = [c.numerator * (den // c.denominator) for c in xs]
+        ys = [c.numerator * (den // c.denominator) for c in ys]
+    return polygon_from_columns(poly_id, tuple(xs), tuple(ys), den)
 
 
 def polygon_from_columns(
-    poly_id: str, xs: Tuple[Coord, ...], ys: Tuple[Coord, ...]
+    poly_id: str,
+    xs: Tuple[int, ...],
+    ys: Tuple[int, ...],
+    denominator: int = 1,
 ) -> Polygon:
-    """The checks and build of make_polygon, without the coercion.
+    """The checks and build of make_polygon on int columns over denominator.
 
-    xs and ys are the two coordinate columns of the vertex cycle. Every
-    coordinate must already be as coord() returns it: an int or a Fraction
-    with denominator > 1.
+    Error witnesses are given in input units.
     """
     n = len(xs)
     if n < 3:
@@ -184,7 +229,8 @@ def polygon_from_columns(
         range(n), map(and_, map(eq, xs, next_xs), map(eq, ys, next_ys))
     ):
         raise DuplicateConsecutiveVertex(
-            f"polygon {poly_id!r}: vertex {i} repeats at {Point(xs[i], ys[i])}"
+            f"polygon {poly_id!r}: vertex {i} repeats at "
+            f"{unscaled_point(xs[i], ys[i], denominator)}"
         )
     twice_area = _twice_area(xs, ys, next_xs, next_ys)
     # A nonzero area rules out a cycle of collinear vertices.
@@ -195,39 +241,4 @@ def polygon_from_columns(
             dx * (y - y0) == dy * (x - x0) for x, y in zip(xs[2:], ys[2:])
         ):
             raise DegenerateAllCollinear(f"polygon {poly_id!r}: zero area")
-    # Every coordinate enters a product of the shoelace sum, and a Fraction
-    # operand makes the whole sum a Fraction: an int sum means int input.
-    if isinstance(twice_area, int):
-        denominator = 1
-    else:
-        denominator = math.lcm(*(c.denominator for c in xs + ys))
-    return Polygon(
-        id=poly_id,
-        xs=xs,
-        ys=ys,
-        area=_div2(abs(twice_area)),
-        x_min=min(xs),
-        x_max=max(xs),
-        denominator=denominator,
-    )
-
-
-def rescaled(polygon: Polygon, factor: int, memo: Dict[Coord, int]) -> Polygon:
-    """Copy of the polygon with every coordinate multiplied by factor.
-
-    factor must be a multiple of polygon.denominator, so every coordinate of
-    the copy is an int. memo maps input coordinates to scaled ones; sharing
-    it across the polygons of an instance scales each distinct value once.
-    """
-    xs, ys = polygon.xs, polygon.ys
-    for c in set(xs + ys).difference(memo):
-        memo[c] = c.numerator * (factor // c.denominator)
-    scale = memo.__getitem__
-    return Polygon(
-        id=polygon.id,
-        xs=tuple(map(scale, xs)),
-        ys=tuple(map(scale, ys)),
-        area=_normalize(polygon.area * (factor * factor)),
-        x_min=scale(polygon.x_min),
-        x_max=scale(polygon.x_max),
-    )
+    return Polygon(poly_id, xs, ys, abs(twice_area), denominator)

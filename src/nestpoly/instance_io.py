@@ -10,17 +10,23 @@ byte-deterministic for a given instance.
 from __future__ import annotations
 
 import json
+import math
 from json.encoder import encode_basestring_ascii as _json_str
-from fractions import Fraction
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import InputError, ParseError, SemanticError
 from .forest import NestingForest
-from .geometry import Coord, Polygon, coord, polygon_from_columns
+from .geometry import Coord, Polygon, decimal_ratio, polygon_from_columns
 
 
 def parse_instance(text) -> List[Polygon]:
     """Parse an instance document from str or bytes.
+
+    Every polygon comes out over one denominator L: the least common
+    multiple of the denominators of the document's decimal strings, 1 when
+    all coordinates are JSON integers. Each distinct string is checked and
+    reduced to a numerator and denominator once, with int arithmetic, so no
+    Fraction is made; every column entry is then an int scaled by L.
 
     Raises ParseError for bytes that are not UTF-8 and (with line and
     column) for malformed JSON, and SemanticError for schema violations
@@ -44,9 +50,42 @@ def parse_instance(text) -> List[Polygon]:
     items = doc["polygons"]
     if not isinstance(items, list) or not items:
         raise SemanticError('"polygons" must be a non-empty list')
+    rows: List[Tuple[str, tuple, tuple]] = []
+    ratios: Dict[str, Tuple[int, int]] = {}
+    try:
+        _read_rows(items, rows, ratios)
+        failure = None
+    except SemanticError as exc:
+        # Errors come in document order: the rows before this one are
+        # checked as polygons first.
+        failure = exc
+    # rows holds all that is left to read: let the document go first.
+    del doc, items
+    den = math.lcm(*(d for _, d in ratios.values()))
+    scaled = {s: n * (den // d) for s, (n, d) in ratios.items()}
     polygons: List[Polygon] = []
+    for pid, xs, ys in rows:
+        if scaled:
+            xs = _scale_column(xs, den, scaled)
+            ys = _scale_column(ys, den, scaled)
+        try:
+            polygons.append(polygon_from_columns(pid, xs, ys, den))
+        except InputError as exc:
+            raise SemanticError(f"polygon {pid!r}: {exc}") from exc
+    if failure is not None:
+        raise failure
+    return polygons
+
+
+def _read_rows(items: list, rows: list, ratios: Dict[str, Tuple[int, int]]):
+    """Check the document's polygons in order; append (id, xs, ys) to rows.
+
+    A column entry is a JSON int or a decimal string; ratios gets each
+    distinct string's (numerator, denominator), so each is checked and
+    reduced once. Raises SemanticError at the first schema violation, with
+    the rows before it appended.
+    """
     seen = set()
-    parsed: Dict[str, Coord] = {}
     for i, item in enumerate(items):
         if not isinstance(item, dict):
             raise SemanticError(f"polygon #{i} is not an object")
@@ -69,38 +108,35 @@ def parse_instance(text) -> List[Polygon]:
             x, y = v
             try:
                 if x.__class__ is not int:
-                    x = _parse_coord(x, parsed)
+                    _add_ratio(x, ratios)
                 if y.__class__ is not int:
-                    y = _parse_coord(y, parsed)
+                    _add_ratio(y, ratios)
             except ValueError as exc:
                 raise SemanticError(
                     f"polygon {pid!r}: vertex #{j}: {exc}"
                 ) from exc
             xs.append(x)
             ys.append(y)
-        try:
-            polygons.append(polygon_from_columns(pid, tuple(xs), tuple(ys)))
-        except InputError as exc:
-            raise SemanticError(f"polygon {pid!r}: {exc}") from exc
-    return polygons
+        rows.append((pid, tuple(xs), tuple(ys)))
 
 
-def _parse_coord(value, parsed: Dict[str, Coord]) -> Coord:
-    """Coordinate from a non-int JSON value; parsed caches decimal strings.
-
-    Equal strings thus share one Fraction, and each is parsed only once.
-    """
+def _add_ratio(value, ratios: Dict[str, Tuple[int, int]]) -> None:
+    """Check a coordinate that is not a JSON int; note a new string's ratio."""
     cls = value.__class__
-    if cls is str:
-        c = parsed.get(value)
-        if c is None:
-            c = parsed[value] = coord(value)
-        return c
-    if cls is bool or cls is float:
-        raise ValueError(
-            "coordinates must be integers or finite-decimal strings"
-        )
-    return coord(value)
+    if cls is not str:
+        if cls is bool or cls is float:
+            raise ValueError(
+                "coordinates must be integers or finite-decimal strings"
+            )
+        raise ValueError(f"unsupported coordinate type: {cls.__name__}")
+    if value not in ratios:
+        ratios[value] = decimal_ratio(value)
+
+
+def _scale_column(column: tuple, den: int, scaled: Dict[str, int]) -> tuple:
+    # The column times den: scaled holds each string's value times den.
+    return tuple([scaled[c] if c.__class__ is str else c * den
+                  for c in column])
 
 
 def _encode_coord(value: Coord):

@@ -160,15 +160,16 @@ def brute_force_forest(polygons: Sequence[Polygon]) -> NestingForest:
     of equal area claim each other, which cannot happen for valid input.
     """
     points = {p.id: interior_point(p) for p in polygons}
+    spans = [(q, q.x_min, q.x_max) for q in polygons]
     parent: Dict[str, Optional[str]] = {}
     for p in polygons:
         containers = []
         pt = points[p.id]
-        for q in polygons:
+        for q, lo, hi in spans:
             if q.id == p.id:
                 continue
             # An interior point of q is strictly inside q's x-extent.
-            if not q.x_min < pt.x < q.x_max:
+            if not lo < pt.x < hi:
                 continue
             if point_in_polygon(pt, q) is PointLocation.INSIDE:
                 if q.area == p.area:
@@ -319,8 +320,6 @@ def _pair_overlap(p: Polygon, q: Polygon) -> Optional[str]:
     classifies the sub-edge midpoints; partial interior overlap shows up as
     sub-edges on both sides of q's boundary.
     """
-    if p.x_max <= q.x_min or q.x_max <= p.x_min:
-        return None
     inside_witness = None
     outside_witness = None
     for e in p.edges:
@@ -371,8 +370,13 @@ def validate(polygons: Sequence[Polygon]) -> ValidationReport:
     clean = [p for p in polygons
              if all(v.kind != "self_intersection" or p.id not in v.polygon_ids
                     for v in violations)]
-    for i, p in enumerate(clean):
-        for q in clean[i + 1:]:
+    spans = [(p, p.x_min, p.x_max) for p in clean]
+    for i, (p, lo, hi) in enumerate(spans):
+        for q, q_lo, q_hi in spans[i + 1:]:
+            # Interiors whose x-extents share at most one abscissa are
+            # disjoint.
+            if hi <= q_lo or q_hi <= lo:
+                continue
             witness = _pair_overlap(p, q)
             if witness is None:
                 witness = _pair_overlap(q, p)

@@ -14,7 +14,7 @@ from operator import eq, gt, lt, ne, sub
 from typing import Optional, Tuple
 
 from .errors import ParityInconsistency
-from .geometry import Coord, Point, Polygon
+from .geometry import Polygon, unscaled_point
 
 
 @dataclass(eq=False, slots=True)
@@ -23,14 +23,15 @@ class MaxSegment:
 
     xs and ys are the coordinate columns of the segment's vertices, ordered
     left to right, so xs is non-decreasing; vertex k and vertex k + 1 bound
-    its edge k. Its first and last edges are not vertical. parity is
-    assigned by assign_parities and is None before that.
+    its edge k. Its first and last edges are not vertical. The columns and
+    twice_area are its polygon's: ints over the polygon's denominator.
+    parity is assigned by assign_parities and is None before that.
     """
 
     polygon_id: str
-    xs: Tuple[Coord, ...]
-    ys: Tuple[Coord, ...]
-    area: Coord
+    xs: Tuple[int, ...]
+    ys: Tuple[int, ...]
+    twice_area: int
     parity: Optional[int] = None
 
 
@@ -73,7 +74,7 @@ def decompose(polygon: Polygon) -> SegmentDecomposition:
         )
 
     segments = []
-    area = polygon.area
+    twice_area = polygon.twice_area
     pid = polygon.id
     for r, k in enumerate(run_starts):
         first = nonvert[k]
@@ -88,7 +89,7 @@ def decompose(polygon: Polygon) -> SegmentDecomposition:
             sy = ys[first:] + ys[:stop - n]
         if turns[k] < 0:
             sx, sy = sx[::-1], sy[::-1]
-        segments.append(MaxSegment(pid, sx, sy, area))
+        segments.append(MaxSegment(pid, sx, sy, twice_area))
     return SegmentDecomposition(tuple(segments))
 
 
@@ -119,8 +120,8 @@ def assign_parities(
     ]
     if not holders:
         raise ParityInconsistency(
-            f"polygon {polygon.id!r}: topmost vertex {Point(tx, ty)} lies on "
-            f"no segment"
+            f"polygon {polygon.id!r}: topmost vertex "
+            f"{unscaled_point(tx, ty, polygon.denominator)} lies on no segment"
         )
 
     seed_index = holders[0]
@@ -140,15 +141,17 @@ def assign_parities(
             above_i = lhs < rhs
         else:
             raise ParityInconsistency(
-                f"polygon {polygon.id!r}: vertex {Point(tx, ty)} is a mixed "
-                f"shared terminal"
+                f"polygon {polygon.id!r}: vertex "
+                f"{unscaled_point(tx, ty, polygon.denominator)} "
+                f"is a mixed shared terminal"
             )
         seed_index = i if above_i else j
         forced = j if above_i else i
     elif len(holders) > 2:
         raise ParityInconsistency(
-            f"polygon {polygon.id!r}: vertex {Point(tx, ty)} lies on "
-            f"{len(holders)} segments"
+            f"polygon {polygon.id!r}: vertex "
+            f"{unscaled_point(tx, ty, polygon.denominator)} "
+            f"lies on {len(holders)} segments"
         )
 
     for i, seg in enumerate(segs):
@@ -157,6 +160,6 @@ def assign_parities(
     if forced is not None and segs[forced].parity != 0:
         raise ParityInconsistency(
             f"polygon {polygon.id!r}: alternation contradicts the slope rule "
-            f"at vertex {Point(tx, ty)}"
+            f"at vertex {unscaled_point(tx, ty, polygon.denominator)}"
         )
     return decomposition

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cmp_to_key
 from itertools import groupby
 from operator import attrgetter
@@ -26,7 +25,7 @@ from .errors import (
     SemanticError,
 )
 from .forest import NestingForest
-from .geometry import Coord, Polygon, _normalize, rescaled
+from .geometry import Polygon, unscale
 from .segments import MaxSegment, assign_parities, decompose
 
 
@@ -106,10 +105,11 @@ def tie_break(a: MaxSegment, adx, ady, b: MaxSegment, bdx, bdy, xi) -> int:
     pa, pb = a.parity, b.parity
     if pa != pb:
         return -1 if pa == 0 else 1
-    if a.area != b.area:
+    aa, ba = a.twice_area, b.twice_area
+    if aa != ba:
         if pa == 1:
-            return -1 if a.area > b.area else 1
-        return -1 if a.area < b.area else 1
+            return -1 if aa > ba else 1
+        return -1 if aa < ba else 1
     raise CoincidentSegments(a.polygon_id, b.polygon_id, xi)
 
 
@@ -302,7 +302,7 @@ class SweepStatus:
 @dataclass(slots=True)
 class Event:
     kind: str  # "insert" or "remove"
-    xi: Coord
+    xi: int
     segment: MaxSegment
     first: bool = False
 
@@ -369,9 +369,11 @@ def nesting_forest_with_stats(
     """Compute immediate containers for overlap-free, possibly touching
     polygons in O(n + N log N).
 
-    When some coordinate is not an int, the sweep runs on a copy of the
-    instance multiplied by the least common denominator of all coordinates,
-    so every comparison is on ints; the forest does not change under
+    Every polygon holds int columns over its denominator (see Polygon).
+    The sweep brings all of them over one denominator, the least common
+    multiple of theirs, by int multiplies of the polygons whose own
+    denominator differs, so every comparison is on ints; polygons read from
+    one document already share theirs. The forest does not change under
     positive scaling, and error witnesses are given in input units.
 
     Raises SemanticError when two polygons share an id. With debug on, the
@@ -379,7 +381,6 @@ def nesting_forest_with_stats(
     quadratic and is meant for tests only.
     """
     scale = math.lcm(*(poly.denominator for poly in polygons))
-    memo: Dict[Coord, int] = {}
     seen: Set[str] = set()
     segments: List[MaxSegment] = []
     n_vertices = 0
@@ -387,8 +388,7 @@ def nesting_forest_with_stats(
         if poly.id in seen:
             raise SemanticError(f"duplicate polygon id {poly.id!r}")
         seen.add(poly.id)
-        if scale != 1:
-            poly = rescaled(poly, scale, memo)
+        poly = poly.over(scale)
         deco = assign_parities(poly, decompose(poly))
         segments.extend(deco.segments)
         n_vertices += len(poly.xs)
@@ -397,9 +397,7 @@ def nesting_forest_with_stats(
         events = build_events(segments)
         parent = _sweep(events, debug)
     except CoincidentSegments as exc:
-        if scale == 1:
-            raise
-        x = _normalize(Fraction(exc.x, scale))
+        x = unscale(exc.x, scale)
         raise CoincidentSegments(*exc.polygon_ids, x) from None
 
     stats = SweepStats(

@@ -1,9 +1,10 @@
 """Reference checks that the tests run against the library.
 
-None of this runs in `nestpoly nest`: point location by winding number, the
-three x-monotonicity checkers, the direct segment count behind each parity,
-an any-two-segments view of the sweep's vertical order, and the Point/Edge
-views of a segment that these checks read.
+None of this runs in `nestpoly nest`: the shoelace area of a vertex list,
+point location by winding number, the three x-monotonicity checkers, the
+direct segment count behind each parity, an any-two-segments view of the
+sweep's vertical order, and the Point/Edge views of a segment that these
+checks read.
 """
 
 from __future__ import annotations
@@ -16,10 +17,36 @@ from typing import Optional, Sequence, Tuple
 
 from nestpoly import make_polygon
 from nestpoly.errors import OutOfDomain
-from nestpoly.geometry import Coord, Edge, Point, Polygon, _normalize, cross
+from nestpoly.geometry import (
+    Coord,
+    Edge,
+    Point,
+    Polygon,
+    _twice_area,
+    cross,
+)
 from nestpoly.oracle import PointLocation, _between, _half
 from nestpoly.segments import MaxSegment, SegmentDecomposition, decompose
 from nestpoly.sweep import StatusEntry, _after, _height_num, advance_current_edge
+
+
+def _normalize(value: Fraction) -> Coord:
+    return value.numerator if value.denominator == 1 else value
+
+
+# --- Area of a vertex list ---------------------------------------------------
+
+
+def shoelace_area(vertices: Sequence[Point]) -> Coord:
+    """Unsigned area of the polygon with the given vertex cycle."""
+    return _normalize(Fraction(abs(signed_area2(vertices))) / 2)
+
+
+def signed_area2(vertices: Sequence[Point]) -> Coord:
+    """Twice the signed area; >0 for counterclockwise vertex order."""
+    xs = [p.x for p in vertices]
+    ys = [p.y for p in vertices]
+    return _twice_area(xs, ys, xs[1:] + xs[:1], ys[1:] + ys[:1])
 
 
 # --- Point/Edge views of a maximal segment -----------------------------------

@@ -10,7 +10,6 @@ from nestpoly import (
     TooFewVertices,
     coord,
     make_polygon,
-    shoelace_area,
 )
 from nestpoly.errors import (
     DegenerateAllCollinear,
@@ -21,7 +20,7 @@ from nestpoly.geometry import cross
 from nestpoly.sweep import StatusEntry, _height_num, advance_current_edge
 
 from conftest import segments_of
-from reference import span_edges
+from reference import shoelace_area, signed_area2, span_edges
 
 
 def test_coord_exact_decimal():
@@ -71,12 +70,21 @@ def test_make_polygon_coerces_and_rejects_coordinates():
 
 def test_parse_instance_checks_each_coordinate_once(monkeypatch):
     import nestpoly.geometry
+    import nestpoly.instance_io
     from nestpoly import parse_instance
 
     def no_second_pass(value):
         raise AssertionError(f"coordinate {value!r} coerced twice")
 
+    reduced = []
+    original = nestpoly.instance_io.decimal_ratio
+
+    def counting(text):
+        reduced.append(text)
+        return original(text)
+
     monkeypatch.setattr(nestpoly.geometry, "coord", no_second_pass)
+    monkeypatch.setattr(nestpoly.instance_io, "decimal_ratio", counting)
     text = (
         '{"polygons": [{"id": "T", "vertices": '
         '[[0, 0], ["4.50", 0], [2, "3.25"]]}]}'
@@ -84,6 +92,14 @@ def test_parse_instance_checks_each_coordinate_once(monkeypatch):
     (p,) = parse_instance(text)
     assert p.vertices == ((0, 0), (Fraction(9, 2), 0), (2, Fraction(13, 4)))
     assert p.denominator == 4
+    assert reduced == ["4.50", "3.25"]
+    # Each distinct string is checked and reduced once per document.
+    reduced.clear()
+    parse_instance(
+        '{"polygons": [{"id": "T", "vertices": '
+        '[["4.50", 0], [9, "4.50"], ["4.50", 9]]}]}'
+    )
+    assert reduced == ["4.50"]
 
 
 def test_shoelace_unit_square():
@@ -108,8 +124,6 @@ def _random_star_polygon(rng, n):
 def _ear_clip_area(vertices):
     """Independent area: sum of triangle areas of an ear-clipping run."""
     verts = list(vertices)
-    from nestpoly.geometry import signed_area2
-
     orient = 1 if signed_area2(verts) > 0 else -1
     total = Fraction(0)
     guard = 0

@@ -14,12 +14,14 @@ from nestpoly import (
     DegenerateAllCollinear,
     DuplicateConsecutiveVertex,
     Edge,
+    ParityInconsistency,
     ParseError,
     Point,
     SemanticError,
     TooFewVertices,
     forest_document,
     make_polygon,
+    nesting_forest,
     parse_instance,
     serialize_forest,
     serialize_instance,
@@ -81,6 +83,51 @@ def test_parse_rejects_floats_and_duplicates():
 
 
 @pytest.mark.parametrize(
+    "value, message",
+    [
+        ("1_0", "not an integer or finite decimal: '1_0'"),
+        (" 5", "not an integer or finite decimal: ' 5'"),
+        ("\u0663", "not an integer or finite decimal: '\u0663'"),
+        ("1e5", "not an integer or finite decimal: '1e5'"),
+        (0.5, "coordinates must be integers or finite-decimal strings"),
+        (True, "coordinates must be integers or finite-decimal strings"),
+        (None, "unsupported coordinate type: NoneType"),
+    ],
+    ids=["underscore", "space", "arabic-indic", "exponent", "float", "bool",
+         "null"],
+)
+def test_parse_gate_rejects(value, message):
+    if isinstance(value, str) and "e" not in value:
+        int(value)  # int() alone would take it: the gate must come first.
+    doc = json.dumps(
+        {"polygons": [{"id": "T", "vertices": [[value, 0], [4, 0], [2, 3]]}]}
+    )
+    with pytest.raises(SemanticError) as exc:
+        parse_instance(doc)
+    assert str(exc.value) == f"polygon 'T': vertex #0: {message}"
+
+
+def test_parse_gate_negative_decimals():
+    for text in ("-0.5", "-0.50"):
+        vertices = [[text, 0], [4, 0], [2, 3]]
+        doc = json.dumps({"polygons": [{"id": "T", "vertices": vertices}]})
+        (p,) = parse_instance(doc)
+        assert p.vertices[0] == (Fraction(-1, 2), 0)
+        assert (p.xs, p.ys, p.denominator) == ((-1, 8, 4), (0, 0, 6), 2)
+
+
+def test_cli_long_decimal_exit_2(tmp_path, capsys):
+    doc = json.dumps(
+        {"polygons": [{"id": "T", "vertices": [
+            ["0." + "1" * 5000, 0], [4, 0], [2, 3]]}]}
+    )
+    assert main(["nest", "-i", write(tmp_path, "long.json", doc)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: polygon 'T': vertex #0: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
     "vertices, error, message",
     [
         ([[0, 0], [4, 0]], TooFewVertices, "2 vertices"),
@@ -104,6 +151,23 @@ def test_parse_wraps_polygon_errors(vertices, error, message):
         parse_instance(doc)
     assert str(exc.value) == f"polygon 'A': polygon 'A': {message}"
     assert isinstance(exc.value.__cause__, error)
+
+
+def test_parse_errors_in_document_order():
+    # A polygon error comes before a schema error in a later polygon, and
+    # after one in an earlier polygon, with decimal input as with integers.
+    bad_polygon = {"id": "A", "vertices": [["0.5", 0], ["0.5", 0], [1, 1]]}
+    bad_coordinate = {"id": "B", "vertices": [["1e5", 0], [1, 0], [1, 1]]}
+    for first, second, message in [
+        (bad_polygon, bad_coordinate,
+         "polygon 'A': polygon 'A': vertex 0 repeats at "
+         "Point(x=Fraction(1, 2), y=0)"),
+        (bad_coordinate, bad_polygon,
+         "polygon 'B': vertex #0: not an integer or finite decimal: '1e5'"),
+    ]:
+        with pytest.raises(SemanticError) as exc:
+            parse_instance(json.dumps({"polygons": [first, second]}))
+        assert str(exc.value) == message
 
 
 def test_parse_error_reports_position():
@@ -171,6 +235,68 @@ def test_nest_builds_no_point_or_edge(monkeypatch, tmp_path, small_corpus):
     p = make_polygon("Z", [(0, 0), (4, 0), (4, 2), (6, 2), (0, 6)])
     assert p.edges is p.edges and p.vertices is p.vertices
     assert built == {"Point": 5, "Edge": 5}
+
+
+def test_nest_builds_no_fraction(monkeypatch, tmp_path, small_corpus):
+    polygons = small_corpus[3]
+    instances = [
+        serialize_instance(polygons),
+        serialize_instance(transform(polygons, scale=Fraction(3, 1000))),
+    ]
+    for k, text in enumerate(instances):
+        parsed = parse_instance(text)
+        for p in parsed:
+            assert all(type(c) is int for c in p.xs + p.ys)
+            d = p.denominator
+            assert p.vertices == tuple(
+                (Fraction(x, d), Fraction(y, d)) for x, y in zip(p.xs, p.ys)
+            )
+        assert {p.denominator for p in parsed} == {1 if k == 0 else 1000}
+    built = [0]
+    original = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built[0] += 1
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    for k, text in enumerate(instances):
+        path = tmp_path / f"in{k}.json"
+        path.write_text(text)
+        assert main(["nest", "-i", str(path), "-o", str(tmp_path / "out")]) == 0
+    assert built == [0]
+    # The counter does see the Fractions that an input-unit view makes.
+    assert parse_instance(instances[1])[0].vertices
+    assert built[0] > 0
+
+
+def test_witnesses_in_input_units():
+    # The topmost vertex lies on three maximal segments: the boundary passes
+    # through it twice. The decimal instance is the integer one halved.
+    integer = [[0, 3], [1, 1], [0, 3], [4, 4], [3, 4], [1, 0], [3, 4]]
+    decimal = [["0", "1.5"], ["0.5", "0.5"], ["0", "1.5"], ["2", "2"],
+               ["1.5", "2"], ["0.5", "0"], ["1.5", "2"]]
+
+    def message(vertices):
+        doc = json.dumps({"polygons": [{"id": "P", "vertices": vertices}]})
+        with pytest.raises(ParityInconsistency) as exc:
+            nesting_forest(parse_instance(doc))
+        return str(exc.value)
+
+    template = "polygon 'P': vertex {} lies on 3 segments"
+    assert message(integer) == template.format(Point(3, 4))
+    assert message(decimal) == template.format(Point(Fraction(3, 2), 2))
+    doc = json.dumps(
+        {"polygons": [{"id": "D", "vertices": [
+            ["0.5", 0], ["2.5", 0], ["2.5", 0], ["0.5", "1.5"]]}]}
+    )
+    with pytest.raises(SemanticError) as exc:
+        parse_instance(doc)
+    assert str(exc.value) == (
+        "polygon 'D': polygon 'D': vertex 1 repeats at "
+        "Point(x=Fraction(5, 2), y=0)"
+    )
+    assert isinstance(exc.value.__cause__, DuplicateConsecutiveVertex)
 
 
 def test_forest_document_sorted():

@@ -167,6 +167,7 @@ def test_library_keeps_no_test_only_helpers():
     import importlib
 
     import nestpoly
+    import nestpoly.geometry
     import nestpoly.oracle
     import nestpoly.segments
     from nestpoly.segments import MaxSegment, SegmentDecomposition
@@ -175,12 +176,13 @@ def test_library_keeps_no_test_only_helpers():
     moved = (
         "satisfies_property_O", "check_terminal_monotone",
         "check_unique_cover", "count_N", "y_at", "parity_oracle",
-        "winding_location", "Rel", "cmp_at",
+        "winding_location", "Rel", "cmp_at", "shoelace_area", "signed_area2",
     )
     for owner, names in (
         (nestpoly, moved),
         (nestpoly.segments, moved),
         (nestpoly.oracle, moved),
+        (nestpoly.geometry, moved + ("rescaled", "_div2")),
         (MaxSegment, ("edges", "span_edges", "min_v", "max_v", "edge_at")),
         (SegmentDecomposition, ("connector_runs", "polygon_id", "polygon")),
         (StatusEntry, ("current_edge",)),

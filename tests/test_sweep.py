@@ -265,7 +265,7 @@ def test_decimal_instance_matches_integer_and_oracle(small_corpus, scale):
 
 
 def test_layers_accept_fraction_polygons(small_corpus):
-    # The sweep rescales to ints, but its layers still take Fractions.
+    # Polygons that share a denominator go through the layers as they are.
     for polygons in small_corpus[:6]:
         thin = transform(polygons, scale=Fraction(1, 7))
         events = build_events(all_segments(thin))
