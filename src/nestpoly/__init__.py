@@ -21,7 +21,7 @@ from .errors import (
     TooFewVertices,
 )
 from .forest import NestingForest
-from .generator import GenConfig, generate, generate_with_stats, transform
+from .generator import GenConfig, generate, transform
 from .geometry import (
     Coord,
     Edge,

@@ -12,15 +12,11 @@ import time
 from typing import List, Optional
 
 from . import bench as bench_mod
-from .errors import (
-    InputError,
-    NestpolyError,
-    OverlapDetected,
-    ParseError,
-    SemanticError,
-)
+from .errors import NestpolyError, ParseError, SemanticError
+from .forest import NestingForest
 from .generator import GenConfig, generate
 from .instance_io import (
+    load_json,
     parse_instance,
     serialize_forest,
     serialize_instance,
@@ -46,20 +42,17 @@ def _read_instance(path: str):
     return parse_instance(data)
 
 
-def _read_forest(path: str):
-    import json
-
-    from .forest import NestingForest
-
+def _read_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(
-            f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
+    return load_json(text)
+
+
+def _read_forest(path: str) -> NestingForest:
+    doc = _read_json(path)
     rows = doc.get("forest") if isinstance(doc, dict) else None
     if not isinstance(rows, list):
         raise SemanticError('forest document must contain a "forest" array')
@@ -144,20 +137,10 @@ def cmd_validate(args) -> int:
 def cmd_gen(args) -> int:
     kwargs = {}
     if args.config:
-        import json
-
-        try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                loaded = json.load(fh)
-        except (OSError, UnicodeDecodeError) as exc:
-            raise ParseError(f"cannot read {args.config}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid config JSON: {exc.msg}") from exc
+        loaded = _read_json(args.config)
         if not isinstance(loaded, dict):
             raise SemanticError("config must be a JSON object")
         kwargs.update(loaded)
-        if "children_per_node" in kwargs:
-            kwargs["children_per_node"] = tuple(kwargs["children_per_node"])
     flag_fields = {
         "seed": args.seed,
         "n_roots": args.roots,

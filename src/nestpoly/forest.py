@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from .errors import ContainmentCycle
 
@@ -13,26 +13,6 @@ class NestingForest:
     """Maps every polygon id to its immediate container (None for roots)."""
 
     parent: Dict[str, Optional[str]]
-
-    def roots(self) -> List[str]:
-        return sorted(pid for pid, par in self.parent.items() if par is None)
-
-    def children(self) -> Dict[str, List[str]]:
-        out: Dict[str, List[str]] = {pid: [] for pid in self.parent}
-        for pid, par in self.parent.items():
-            if par is not None:
-                out[par].append(pid)
-        for lst in out.values():
-            lst.sort()
-        return out
-
-    def depth(self, pid: str) -> int:
-        d = 0
-        cur = self.parent[pid]
-        while cur is not None:
-            d += 1
-            cur = self.parent[cur]
-        return d
 
     def depths(self) -> Dict[str, int]:
         """Depth of every polygon, in O(m) whatever the nesting depth.

@@ -15,11 +15,11 @@ import random
 from dataclasses import dataclass, field
 from functools import cmp_to_key
 from math import isqrt
-from typing import Dict, List, Optional, Sequence, Tuple
+from numbers import Real
+from typing import Dict, List, Sequence, Tuple
 
 from .errors import GenerationFailed
 from .geometry import Point, Polygon, cross, make_polygon
-from .oracle import on_edge
 
 MIN_W = 16
 MIN_H = 12
@@ -39,6 +39,22 @@ class GenConfig:
     coordinate_span: int = 1_000_000
 
     def __post_init__(self):
+        for name in ("n_roots", "max_depth", "coordinate_span"):
+            _require_int(name, getattr(self, name))
+        if not isinstance(self.seed, (int, str)):
+            raise TypeError("seed must be an integer or a string")
+        if not isinstance(self.touching_prob, Real):
+            raise TypeError("touching_prob must be a number")
+        if not isinstance(self.shape_mix, dict):
+            raise TypeError("shape_mix must be an object of shape weights")
+        if (
+            not isinstance(self.children_per_node, (list, tuple))
+            or len(self.children_per_node) != 2
+        ):
+            raise TypeError("children_per_node must be a [lo, hi] pair")
+        self.children_per_node = tuple(self.children_per_node)
+        for bound in self.children_per_node:
+            _require_int("children_per_node", bound)
         if self.n_roots < 1:
             raise ValueError("n_roots must be >= 1")
         if self.max_depth < 0:
@@ -50,15 +66,15 @@ class GenConfig:
             raise ValueError("touching_prob must be in [0, 1]")
         if not self.shape_mix or any(w < 0 for w in self.shape_mix.values()):
             raise ValueError("shape_mix weights must be non-negative")
+        if not any(w > 0 for w in self.shape_mix.values()):
+            raise ValueError("shape_mix needs a positive weight")
         if set(self.shape_mix) - {"convex", "staircase", "star"}:
             raise ValueError("unknown shape in shape_mix")
 
 
-@dataclass
-class GenStats:
-    attempted_touches: int = 0
-    materialized_touches: int = 0
-    non_roots: int = 0
+def _require_int(name: str, value) -> None:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{name} must be an integer")
 
 
 def _core(box):
@@ -198,19 +214,6 @@ def _build_shape(rng: random.Random, shape: str, box, core):
     return _make_star(rng, box, core), _star_child_core(box, core)
 
 
-def touches(a: Polygon, b: Polygon) -> bool:
-    """True when the two boundaries share at least one point."""
-    for p in a.vertices:
-        for e in b.edges:
-            if on_edge(p, e):
-                return True
-    for p in b.vertices:
-        for e in a.edges:
-            if on_edge(p, e):
-                return True
-    return False
-
-
 def _child_boxes(rng: random.Random, core, k: int):
     cx0, y0, cx1, ctop = core
     if k < 1:
@@ -238,7 +241,6 @@ class _Generator:
         self.shapes = sorted(s for s, w in cfg.shape_mix.items() if w > 0)
         self.weights = [cfg.shape_mix[s] for s in self.shapes]
         self.polygons: List[Polygon] = []
-        self.stats = GenStats()
 
     def run(self) -> List[Polygon]:
         cfg = self.cfg
@@ -256,7 +258,7 @@ class _Generator:
             x0 = c * (cell_w + GAP)
             y0 = r * (cell_h + GAP)
             box = self._jitter((x0, y0, x0 + cell_w - 1, y0 + cell_h - 1))
-            self._place(box, depth=0, touch_parent=None)
+            self._place(box, depth=0)
         return self.polygons
 
     def _jitter(self, box):
@@ -266,18 +268,12 @@ class _Generator:
         dy = rng.randint(0, max(0, min((y1 - y0 - MIN_H) // 4, 8)))
         return (x0 + dx, y0 + dy, x1, y1)
 
-    def _place(self, box, depth: int, touch_parent: Optional[Polygon]):
+    def _place(self, box, depth: int):
         cfg, rng = self.cfg, self.rng
         core = _core(box)
         shape = rng.choices(self.shapes, weights=self.weights)[0]
         verts, core = _build_shape(rng, shape, box, core)
-        poly = make_polygon(f"P{len(self.polygons)}", verts)
-        self.polygons.append(poly)
-        if depth > 0:
-            self.stats.non_roots += 1
-        if touch_parent is not None:
-            if touches(poly, touch_parent):
-                self.stats.materialized_touches += 1
+        self.polygons.append(make_polygon(f"P{len(self.polygons)}", verts))
 
         if depth >= cfg.max_depth:
             return
@@ -291,29 +287,16 @@ class _Generator:
                 f"no room for {k} children at depth {depth + 1}; "
                 f"increase coordinate_span"
             )
-        for child_box in boxes:
+        for bx0, by0, bx1, by1 in boxes:
             touch = rng.random() < float(cfg.touching_prob)
-            bx0, by0, bx1, by1 = child_box
             if not touch:
                 by0 += GAP
-            if touch:
-                self.stats.attempted_touches += 1
-            self._place(
-                (bx0, by0, bx1, by1),
-                depth + 1,
-                touch_parent=poly if touch else None,
-            )
+            self._place((bx0, by0, bx1, by1), depth + 1)
 
 
 def generate(cfg: GenConfig) -> List[Polygon]:
     """Deterministic instance for the given configuration."""
-    return generate_with_stats(cfg)[0]
-
-
-def generate_with_stats(cfg: GenConfig) -> Tuple[List[Polygon], GenStats]:
-    gen = _Generator(cfg)
-    polygons = gen.run()
-    return polygons, gen.stats
+    return _Generator(cfg).run()
 
 
 def transform(

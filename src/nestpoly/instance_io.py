@@ -19,6 +19,22 @@ from .forest import NestingForest
 from .geometry import Coord, Polygon, decimal_ratio, polygon_from_columns
 
 
+def load_json(text: str):
+    """json.loads, raising ParseError for text that is not JSON.
+
+    That covers malformed JSON (with line and column) and arrays or objects
+    nested too deeply for the parser.
+    """
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(
+            f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
+        ) from exc
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply") from None
+
+
 def parse_instance(text) -> List[Polygon]:
     """Parse an instance document from str or bytes.
 
@@ -28,8 +44,8 @@ def parse_instance(text) -> List[Polygon]:
     reduced to a numerator and denominator once, with int arithmetic, so no
     Fraction is made; every column entry is then an int scaled by L.
 
-    Raises ParseError for bytes that are not UTF-8 and (with line and
-    column) for malformed JSON, and SemanticError for schema violations
+    Raises ParseError for bytes that are not UTF-8 and for text that
+    load_json rejects, and SemanticError for schema violations
     such as duplicate ids or too few vertices.
     """
     if isinstance(text, bytes):
@@ -39,12 +55,7 @@ def parse_instance(text) -> List[Polygon]:
             raise ParseError(
                 f"input is not UTF-8: byte {exc.start} cannot be decoded"
             ) from exc
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(
-            f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from exc
+    doc = load_json(text)
     if not isinstance(doc, dict) or "polygons" not in doc:
         raise SemanticError('top-level object must contain "polygons"')
     items = doc["polygons"]

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+import math
+from typing import List, Optional, Sequence, Tuple
 
+from .errors import SemanticError
 from .forest import NestingForest
 from .geometry import Polygon
 from .sweep import nesting_forest
@@ -26,18 +28,23 @@ def render_svg(
     """SVG with one filled path per polygon, deeper polygons painted later.
 
     The y-axis is flipped so that larger y is up, matching the geometric
-    convention rather than the SVG one.
+    convention rather than the SVG one. Raises SemanticError when a
+    coordinate, the drawing's width or height, or a label position is not
+    a finite float.
     """
     if forest is None:
         forest = nesting_forest(polygons)
     depths = forest.depths()
-    min_x = min(float(p.x_min) for p in polygons)
-    max_x = max(float(p.x_max) for p in polygons)
-    min_y = min(float(v.y) for p in polygons for v in p.vertices)
-    max_y = max(float(v.y) for p in polygons for v in p.vertices)
+    drawn = [(p, *_float_columns(p)) for p in polygons]
+    min_x = min(min(xs) for _, xs, _ in drawn)
+    max_x = max(max(xs) for _, xs, _ in drawn)
+    min_y = min(min(ys) for _, _, ys in drawn)
+    max_y = max(max(ys) for _, _, ys in drawn)
     width = max(max_x - min_x, 1.0)
     height = max(max_y - min_y, 1.0)
     pad = 0.03 * max(width, height)
+    _require_finite(width + 2 * pad, "the drawing's width")
+    _require_finite(height + 2 * pad, "the drawing's height")
 
     def tx(x: float) -> float:
         return x - min_x + pad
@@ -50,22 +57,20 @@ def render_svg(
         f'<svg xmlns="http://www.w3.org/2000/svg" '
         f'viewBox="0 0 {width + 2 * pad:g} {height + 2 * pad:g}">',
     ]
-    order = sorted(polygons, key=lambda p: (depths[p.id], p.id))
+    order = sorted(drawn, key=lambda d: (depths[d[0].id], d[0].id))
     stroke_w = max(width, height) / 400
-    for p in order:
+    for p, xs, ys in order:
         d = depths[p.id]
-        pts = " ".join(
-            f"{tx(float(v.x)):g},{ty(float(v.y)):g}" for v in p.vertices
-        )
+        pts = " ".join(f"{tx(x):g},{ty(y):g}" for x, y in zip(xs, ys))
         fill = _PALETTE[d % len(_PALETTE)]
         lines.append(
             f'<polygon points="{pts}" fill="{fill}" fill-opacity="0.85" '
             f'stroke="#222222" stroke-width="{stroke_w:g}"/>'
         )
     font = max(width, height) / 40
-    for p in order:
-        cx = sum(float(v.x) for v in p.vertices) / len(p.vertices)
-        cy = sum(float(v.y) for v in p.vertices) / len(p.vertices)
+    for p, xs, ys in order:
+        cx = _require_finite(sum(xs) / len(xs), f"the label of {p.id!r}")
+        cy = _require_finite(sum(ys) / len(ys), f"the label of {p.id!r}")
         lines.append(
             f'<text x="{tx(cx):g}" y="{ty(cy):g}" font-size="{font:g}" '
             f'text-anchor="middle" fill="#111111">'
@@ -73,3 +78,20 @@ def render_svg(
         )
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
+
+
+def _float_columns(p: Polygon) -> Tuple[List[float], List[float]]:
+    vertices = p.vertices
+    try:
+        return [float(v.x) for v in vertices], [float(v.y) for v in vertices]
+    except OverflowError:
+        raise SemanticError(
+            f"cannot render polygon {p.id!r}: a coordinate is beyond float "
+            f"range"
+        ) from None
+
+
+def _require_finite(value: float, what: str) -> float:
+    if not math.isfinite(value):
+        raise SemanticError(f"cannot render: {what} is beyond float range")
+    return value

@@ -18,12 +18,7 @@ from itertools import groupby
 from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .errors import (
-    CoincidentSegments,
-    InternalOrderViolation,
-    OutOfDomain,
-    SemanticError,
-)
+from .errors import CoincidentSegments, OutOfDomain, SemanticError
 from .forest import NestingForest
 from .geometry import Polygon, unscale
 from .segments import MaxSegment, assign_parities, decompose
@@ -167,9 +162,6 @@ class SweepStatus:
         self._entries: Dict[int, StatusEntry] = {}
         self._last: Optional[StatusEntry] = None
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
     def insert(self, segment: MaxSegment, xi) -> StatusEntry:
         entry = StatusEntry(segment)
         advance_current_edge(entry, xi)
@@ -251,31 +243,6 @@ class SweepStatus:
             cur = cur.par
         return cur.par
 
-    def in_order(self) -> List[StatusEntry]:
-        out: List[StatusEntry] = []
-        stack: List[StatusEntry] = []
-        cur = self.root
-        while cur is not None or stack:
-            while cur is not None:
-                stack.append(cur)
-                cur = cur.left
-            cur = stack.pop()
-            out.append(cur)
-            cur = cur.right
-        return out
-
-    def assert_consistent(self) -> None:
-        """Debug check: stored order matches fresh comparisons at self.xi."""
-        xi = self.xi
-        entries = self.in_order()
-        for prev, cur in zip(entries, entries[1:]):
-            advance_current_edge(cur, xi)
-            if not _after(cur, _height_num(cur, xi), cur.dx, prev, xi):
-                raise InternalOrderViolation(
-                    f"status order broken at x={xi} between polygons "
-                    f"{prev.segment.polygon_id!r} and {cur.segment.polygon_id!r}"
-                )
-
     def _rotate_up(self, node: StatusEntry) -> None:
         par = node.par
         grand = par.par
@@ -356,15 +323,13 @@ class SweepStats:
     events: int
 
 
-def nesting_forest(
-    polygons: Sequence[Polygon], debug: bool = False
-) -> NestingForest:
-    forest, _ = nesting_forest_with_stats(polygons, debug=debug)
+def nesting_forest(polygons: Sequence[Polygon]) -> NestingForest:
+    forest, _ = nesting_forest_with_stats(polygons)
     return forest
 
 
 def nesting_forest_with_stats(
-    polygons: Sequence[Polygon], debug: bool = False
+    polygons: Sequence[Polygon],
 ) -> Tuple[NestingForest, SweepStats]:
     """Compute immediate containers for overlap-free, possibly touching
     polygons in O(n + N log N).
@@ -376,9 +341,7 @@ def nesting_forest_with_stats(
     one document already share theirs. The forest does not change under
     positive scaling, and error witnesses are given in input units.
 
-    Raises SemanticError when two polygons share an id. With debug on, the
-    status order is re-verified after every insertion; this makes the sweep
-    quadratic and is meant for tests only.
+    Raises SemanticError when two polygons share an id.
     """
     scale = math.lcm(*(poly.denominator for poly in polygons))
     seen: Set[str] = set()
@@ -395,7 +358,7 @@ def nesting_forest_with_stats(
 
     try:
         events = build_events(segments)
-        parent = _sweep(events, debug)
+        parent = _sweep(events)
     except CoincidentSegments as exc:
         x = unscale(exc.x, scale)
         raise CoincidentSegments(*exc.polygon_ids, x) from None
@@ -406,7 +369,7 @@ def nesting_forest_with_stats(
     return NestingForest(parent), stats
 
 
-def _sweep(events: List[Event], debug: bool) -> Dict[str, Optional[str]]:
+def _sweep(events: List[Event]) -> Dict[str, Optional[str]]:
     """Run the status through the events; immediate container per polygon."""
     status = SweepStatus()
     parent: Dict[str, Optional[str]] = {}
@@ -417,11 +380,6 @@ def _sweep(events: List[Event], debug: bool) -> Dict[str, Optional[str]]:
             continue
         entry = status.insert(ev.segment, ev.xi)
         if ev.first:
-            if debug and ev.segment.parity != 1:
-                raise InternalOrderViolation(
-                    f"first segment of polygon {ev.segment.polygon_id!r} "
-                    f"has interior above it"
-                )
             pred = status.predecessor(entry)
             pid = ev.segment.polygon_id
             if pred is None:
@@ -430,6 +388,4 @@ def _sweep(events: List[Event], debug: bool) -> Dict[str, Optional[str]]:
                 parent[pid] = pred.segment.polygon_id
             else:
                 parent[pid] = parent[pred.segment.polygon_id]
-        if debug:
-            status.assert_consistent()
     return parent

@@ -3,8 +3,9 @@
 None of this runs in `nestpoly nest`: the shoelace area of a vertex list,
 point location by winding number, the three x-monotonicity checkers, the
 direct segment count behind each parity, an any-two-segments view of the
-sweep's vertical order, and the Point/Edge views of a segment that these
-checks read.
+sweep's vertical order, the Point/Edge views of a segment that these
+checks read, a sweep status that re-checks its order after every insert,
+and a boundary-contact test for generated polygons.
 """
 
 from __future__ import annotations
@@ -13,10 +14,11 @@ import enum
 import math
 from bisect import bisect_right
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from nestpoly import make_polygon
-from nestpoly.errors import OutOfDomain
+import nestpoly.sweep
+from nestpoly import NestingForest, make_polygon
+from nestpoly.errors import InternalOrderViolation, OutOfDomain
 from nestpoly.geometry import (
     Coord,
     Edge,
@@ -25,9 +27,15 @@ from nestpoly.geometry import (
     _twice_area,
     cross,
 )
-from nestpoly.oracle import PointLocation, _between, _half
+from nestpoly.oracle import PointLocation, _between, _half, on_edge
 from nestpoly.segments import MaxSegment, SegmentDecomposition, decompose
-from nestpoly.sweep import StatusEntry, _after, _height_num, advance_current_edge
+from nestpoly.sweep import (
+    StatusEntry,
+    SweepStatus,
+    _after,
+    _height_num,
+    advance_current_edge,
+)
 
 
 def _normalize(value: Fraction) -> Coord:
@@ -116,6 +124,73 @@ def cmp_at(xi, a: MaxSegment, b: MaxSegment) -> Rel:
     if _after(ea, _height_num(ea, xi), ea.dx, eb, xi):
         return Rel.AFTER
     return Rel.BEFORE
+
+
+# --- A sweep that re-checks its status ----------------------------------------
+
+
+def status_order(status: SweepStatus) -> List[StatusEntry]:
+    """The live entries top to bottom: an in-order walk of the treap."""
+    out: List[StatusEntry] = []
+    stack: List[StatusEntry] = []
+    cur = status.root
+    while cur is not None or stack:
+        while cur is not None:
+            stack.append(cur)
+            cur = cur.left
+        cur = stack.pop()
+        out.append(cur)
+        cur = cur.right
+    return out
+
+
+class CheckedStatus(SweepStatus):
+    """A SweepStatus that re-checks every adjacent pair after each insert.
+
+    Each check compares afresh at the insert's abscissa with the status
+    comparator, so a sweep through it is quadratic.
+    """
+
+    def insert(self, segment: MaxSegment, xi) -> StatusEntry:
+        entry = super().insert(segment, xi)
+        entries = status_order(self)
+        for prev, cur in zip(entries, entries[1:]):
+            advance_current_edge(cur, xi)
+            if not _after(cur, _height_num(cur, xi), cur.dx, prev, xi):
+                raise InternalOrderViolation(
+                    f"status order broken at x={xi} between polygons "
+                    f"{prev.segment.polygon_id!r} and "
+                    f"{cur.segment.polygon_id!r}"
+                )
+        return entry
+
+
+def checked_forest(polygons: Sequence[Polygon]) -> NestingForest:
+    """nesting_forest, run through a CheckedStatus.
+
+    It also checks that the first segment of every polygon has the
+    polygon's interior below it (parity 1). Raises InternalOrderViolation
+    when either check fails.
+    """
+    sweep = nestpoly.sweep
+    build_events = sweep.build_events
+
+    def checked_build_events(segments):
+        events = build_events(segments)
+        for ev in events:
+            if ev.first and ev.segment.parity != 1:
+                raise InternalOrderViolation(
+                    f"first segment of polygon {ev.segment.polygon_id!r} "
+                    f"has interior above it"
+                )
+        return events
+
+    saved = sweep.SweepStatus, sweep.build_events
+    sweep.SweepStatus, sweep.build_events = CheckedStatus, checked_build_events
+    try:
+        return sweep.nesting_forest(polygons)
+    finally:
+        sweep.SweepStatus, sweep.build_events = saved
 
 
 # --- Three independent checkers for the x-monotonicity property ------------
@@ -256,6 +331,22 @@ def winding_location(p: Point, polygon: Polygon) -> PointLocation:
             if e.b.y <= py and cross(e.a, e.b, p) < 0:
                 winding -= 1
     return PointLocation.INSIDE if winding != 0 else PointLocation.OUTSIDE
+
+
+# --- Boundary contact ------------------------------------------------------------
+
+
+def touches(a: Polygon, b: Polygon) -> bool:
+    """True when the two boundaries share at least one point."""
+    for p in a.vertices:
+        for e in b.edges:
+            if on_edge(p, e):
+                return True
+    for p in b.vertices:
+        for e in a.edges:
+            if on_edge(p, e):
+                return True
+    return False
 
 
 # --- Random inputs for the checkers ----------------------------------------------

@@ -33,6 +33,7 @@ from reference import (
     _random_subpath,
     check_terminal_monotone,
     check_unique_cover,
+    checked_forest,
     cmp_at,
     count_N,
     satisfies_property_O,
@@ -309,12 +310,9 @@ def test_acceptance_8_touching_fixtures():
         make_polygon("Q", [(0, -1), (8, -1), (8, 8), (0, 4)]),
     ]
     results = [
-        nesting_forest(shared_edge, debug=True).parent
-        == {"A": None, "B": None},
-        nesting_forest(vertex_touch, debug=True).parent
-        == {"O": None, "I": "O"},
-        nesting_forest(bottom_edge, debug=True).parent
-        == {"O": None, "I": "O"},
+        checked_forest(shared_edge).parent == {"A": None, "B": None},
+        checked_forest(vertex_touch).parent == {"O": None, "I": "O"},
+        checked_forest(bottom_edge).parent == {"O": None, "I": "O"},
         not validate(crossing).ok,
     ]
     _report(

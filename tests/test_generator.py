@@ -8,13 +8,13 @@ from nestpoly import (
     GenConfig,
     brute_force_forest,
     generate,
-    generate_with_stats,
-    nesting_forest,
     serialize_instance,
     transform,
     validate,
 )
 from nestpoly.segments import decompose
+
+from reference import checked_forest, touches
 
 
 def test_single_convex_root():
@@ -33,11 +33,14 @@ def test_determinism():
 
 def test_all_children_touch_with_prob_one():
     cfg = GenConfig(seed=7, n_roots=2, max_depth=2, touching_prob=1.0)
-    polygons, stats = generate_with_stats(cfg)
+    polygons = generate(cfg)
     assert validate(polygons).ok
-    assert stats.non_roots > 0
-    assert stats.attempted_touches == stats.non_roots
-    assert stats.materialized_touches >= 0.9 * stats.attempted_touches
+    by_id = {p.id: p for p in polygons}
+    parent = brute_force_forest(polygons).parent
+    children = [p for p in polygons if parent[p.id] is not None]
+    assert children
+    touching = [p for p in children if touches(p, by_id[parent[p.id]])]
+    assert len(touching) >= 0.9 * len(children)
 
 
 def test_generated_instances_validate(small_corpus):
@@ -78,6 +81,24 @@ def test_config_validation():
         GenConfig(shape_mix={"blob": 1})
 
 
+def test_config_types():
+    assert GenConfig(children_per_node=[0, 3]).children_per_node == (0, 3)
+    text = serialize_instance(generate(GenConfig(seed="abc")))
+    assert text == serialize_instance(generate(GenConfig(seed="abc")))
+    for bad in (
+        {"n_roots": True},
+        {"max_depth": 1.0},
+        {"coordinate_span": 10.0**6},
+        {"children_per_node": (1,)},
+        {"children_per_node": (1, 2.0)},
+        {"touching_prob": None},
+        {"seed": 1.0},
+        {"shape_mix": [("convex", 1)]},
+    ):
+        with pytest.raises(TypeError):
+            GenConfig(**bad)
+
+
 def test_transform_identity(small_corpus):
     polygons = small_corpus[0]
     same = transform(polygons, scale=1, dx=0, dy=0)
@@ -86,9 +107,9 @@ def test_transform_identity(small_corpus):
 
 def test_transform_preserves_forest(small_corpus):
     polygons = small_corpus[1]
-    base = nesting_forest(polygons, debug=True)
+    base = checked_forest(polygons)
     scaled = transform(polygons, scale=10**6, dx=-3, dy=0)
-    assert nesting_forest(scaled, debug=True) == base
+    assert checked_forest(scaled) == base
     shrunk = transform(polygons, scale=Fraction(1, 7), dx=0, dy=0)
-    assert nesting_forest(shrunk, debug=True) == base
+    assert checked_forest(shrunk) == base
     assert brute_force_forest(shrunk) == base

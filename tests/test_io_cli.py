@@ -456,6 +456,69 @@ def test_cli_render_forest_missing_a_polygon(tmp_path, capsys):
     assert err == "error: forest has no row for polygon 'I'\n"
 
 
+@pytest.mark.parametrize("reader", ["instance", "forest", "config"])
+def test_cli_json_errors_read_alike(tmp_path, capsys, reader):
+    inst = write(tmp_path, "in.json", TWO_SQUARES)
+    bad = write(tmp_path, "bad.json", '{"a": 1,}')
+    deep = write(tmp_path, "deep.json", "[" * 200000 + "]" * 200000)
+    argv = {
+        "instance": ["nest", "-i"],
+        "forest": ["render", "-i", inst, "--forest"],
+        "config": ["gen", "--config"],
+    }[reader]
+    assert main(argv + [bad]) == 2
+    assert capsys.readouterr().err == (
+        "error: invalid JSON at line 1 column 9: "
+        "Expecting property name enclosed in double quotes\n"
+    )
+    assert main(argv + [deep]) == 2
+    assert capsys.readouterr().err == "error: invalid JSON: nested too deeply\n"
+
+
+@pytest.mark.parametrize(
+    "vertices, message",
+    [
+        ([[0, 0], [10**400, 0], [0, 1]],
+         "cannot render polygon 'T': a coordinate is beyond float range"),
+        ([[-(10**308), 0], [10**308, 0], [0, 1]],
+         "cannot render: the drawing's width is beyond float range"),
+        ([[10**308, 0], [10**308 + 10**306, 0], [10**308, 1]],
+         "cannot render: the label of 'T' is beyond float range"),
+    ],
+    ids=["coordinate", "width", "label"],
+)
+def test_cli_render_beyond_float_range(tmp_path, capsys, vertices, message):
+    doc = {"polygons": [{"id": "T", "vertices": vertices}]}
+    inst = write(tmp_path, "in.json", json.dumps(doc))
+    assert main(["nest", "-i", inst, "-o", str(tmp_path / "f.json")]) == 0
+    assert main(["render", "-i", inst]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"children_per_node": 5},
+        {"children_per_node": [1, 2, 3]},
+        {"children_per_node": [1, True]},
+        {"n_roots": 1.5},
+        {"coordinate_span": "x"},
+        {"coordinate_span": 1e9},
+        {"seed": [1]},
+        {"touching_prob": "0.5"},
+        {"shape_mix": "convex"},
+        {"shape_mix": {"convex": 0}},
+    ],
+    ids=json.dumps,
+)
+def test_cli_gen_config_of_wrong_type_exit_2(tmp_path, capsys, config):
+    cfg = write(tmp_path, "cfg.json", json.dumps(config))
+    assert main(["gen", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid generator config: ")
+    assert err.count("\n") == 1
+
+
 def run_module(*args, cwd):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

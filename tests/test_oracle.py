@@ -165,38 +165,57 @@ def test_parity_oracle_matches_assignment(small_corpus):
 def test_library_keeps_no_test_only_helpers():
     import ast
     import importlib
+    import inspect
 
     import nestpoly
+    import nestpoly.generator
     import nestpoly.geometry
     import nestpoly.oracle
     import nestpoly.segments
+    import nestpoly.sweep
+    from nestpoly import NestingForest
     from nestpoly.segments import MaxSegment, SegmentDecomposition
-    from nestpoly.sweep import StatusEntry
+    from nestpoly.sweep import StatusEntry, SweepStatus
 
     moved = (
         "satisfies_property_O", "check_terminal_monotone",
         "check_unique_cover", "count_N", "y_at", "parity_oracle",
         "winding_location", "Rel", "cmp_at", "shoelace_area", "signed_area2",
     )
+    generator_api = ("GenStats", "generate_with_stats", "touches")
     for owner, names in (
-        (nestpoly, moved),
+        (nestpoly, moved + generator_api),
+        (nestpoly.generator, generator_api),
         (nestpoly.segments, moved),
         (nestpoly.oracle, moved),
         (nestpoly.geometry, moved + ("rescaled", "_div2")),
         (MaxSegment, ("edges", "span_edges", "min_v", "max_v", "edge_at")),
         (SegmentDecomposition, ("connector_runs", "polygon_id", "polygon")),
         (StatusEntry, ("current_edge",)),
+        (SweepStatus, ("assert_consistent", "in_order", "__len__")),
+        (NestingForest, ("roots", "children", "depth")),
     ):
         for name in names:
             assert not hasattr(owner, name), (owner.__name__, name)
+    for fn in (
+        nestpoly.sweep.nesting_forest,
+        nestpoly.sweep.nesting_forest_with_stats,
+        nestpoly.sweep._sweep,
+    ):
+        assert "debug" not in inspect.signature(fn).parameters, fn.__name__
     with pytest.raises(ModuleNotFoundError):
         importlib.import_module("nestpoly.ordering")
-    # The oracle checks the decomposition and the sweep, so it reads neither.
-    with open(nestpoly.oracle.__file__, encoding="utf-8") as f:
-        tree = ast.parse(f.read())
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
-            names = [getattr(node, "module", None) or ""]
-            names += [alias.name for alias in node.names]
-            for name in names:
-                assert not set(name.split(".")) & {"segments", "sweep"}, name
+    # The oracle checks the decomposition and the sweep, so it reads
+    # neither; the generator counts no touches, so it needs no oracle.
+    for module, banned in (
+        (nestpoly.oracle, {"segments", "sweep"}),
+        (nestpoly.generator, {"oracle"}),
+    ):
+        with open(module.__file__, encoding="utf-8") as f:
+            tree = ast.parse(f.read())
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [getattr(node, "module", None) or ""]
+                names += [alias.name for alias in node.names]
+                for name in names:
+                    assert not set(name.split(".")) & banned, name

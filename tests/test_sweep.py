@@ -19,7 +19,7 @@ from nestpoly import (
     serialize_instance,
     transform,
 )
-from nestpoly.errors import OutOfDomain
+from nestpoly.errors import InternalOrderViolation, OutOfDomain
 from nestpoly.sweep import (
     StatusEntry,
     SweepStatus,
@@ -28,7 +28,13 @@ from nestpoly.sweep import (
 )
 
 from conftest import segments_of, square, top_bottom
-from reference import Rel, cmp_at
+from reference import (
+    CheckedStatus,
+    Rel,
+    checked_forest,
+    cmp_at,
+    status_order,
+)
 
 
 def all_segments(polygons):
@@ -97,7 +103,7 @@ def test_status_predecessor_nested(nested_squares):
     e_top_i = status.insert(top_i, 2)
     status.insert(bot_i, 2)
     assert status.predecessor(e_top_i).segment is top_o
-    order = [e.segment for e in status.in_order()]
+    order = [e.segment for e in status_order(status)]
     assert order == [top_o, top_i, bot_i, bot_o]
 
 
@@ -110,8 +116,47 @@ def test_status_remove_keeps_order(nested_squares):
         status.insert(seg, xi)
     status.remove(top_i)
     status.remove(bot_i)
-    assert [e.segment for e in status.in_order()] == [top_o, bot_o]
-    assert len(status) == 2
+    assert [e.segment for e in status_order(status)] == [top_o, bot_o]
+    assert len(status._entries) == 2
+
+
+def test_checked_status_catches_swapped_entries(nested_squares):
+    o, i = nested_squares
+    top_o, bot_o = top_bottom(o)
+    top_i, _ = top_bottom(i)
+    status = CheckedStatus()
+    status.insert(top_o, 0)
+    status.insert(bot_o, 0)
+    upper, lower = status_order(status)
+    # Swap what the two adjacent live entries hold, leaving the treap links.
+    for slot in ("segment", "cursor", "ax", "ay", "dx", "dy", "end"):
+        a, b = getattr(upper, slot), getattr(lower, slot)
+        setattr(upper, slot, b)
+        setattr(lower, slot, a)
+    with pytest.raises(InternalOrderViolation, match="order broken at x=2 "):
+        status.insert(top_i, 2)
+
+
+def test_checked_forest_catches_first_segment_with_interior_above(
+    monkeypatch, nested_squares
+):
+    assign = nestpoly.sweep.assign_parities
+
+    def flipped(polygon, decomposition):
+        decomposition = assign(polygon, decomposition)
+        for s in decomposition.segments:
+            s.parity ^= 1
+        return decomposition
+
+    monkeypatch.setattr(nestpoly.sweep, "assign_parities", flipped)
+    with pytest.raises(
+        InternalOrderViolation,
+        match="first segment of polygon 'O' has interior above it",
+    ):
+        checked_forest(nested_squares)
+    # The swapped-in status and event check are gone again afterwards.
+    assert nestpoly.sweep.SweepStatus is SweepStatus
+    assert nestpoly.sweep.build_events is build_events
 
 
 def test_advance_current_edge_staircase():
@@ -154,23 +199,23 @@ def test_advance_current_edge_postcondition(small_corpus):
 
 
 def test_forest_nested(nested_squares):
-    forest = nesting_forest(nested_squares, debug=True)
+    forest = checked_forest(nested_squares)
     assert forest.parent == {"O": None, "I": "O"}
     assert forest.depths() == {"O": 0, "I": 1}
 
 
 def test_forest_shared_edge_siblings(shared_edge_squares):
-    forest = nesting_forest(shared_edge_squares, debug=True)
+    forest = checked_forest(shared_edge_squares)
     assert forest.parent == {"A": None, "B": None}
 
 
 def test_forest_vertex_touch(vertex_touch_pair):
-    forest = nesting_forest(vertex_touch_pair, debug=True)
+    forest = checked_forest(vertex_touch_pair)
     assert forest.parent == {"O": None, "I": "O"}
 
 
 def test_forest_bottom_edge_tiebreak(bottom_edge_pair):
-    forest = nesting_forest(bottom_edge_pair, debug=True)
+    forest = checked_forest(bottom_edge_pair)
     assert forest.parent == {"O": None, "I": "O"}
 
 
@@ -187,17 +232,12 @@ def test_forest_crossing_is_rejected(crossing_pair):
 
 def test_forest_three_levels():
     polygons = [square("A", 0, 0, 30), square("B", 5, 5, 18), square("C", 8, 8, 6)]
-    forest = nesting_forest(polygons, debug=True)
+    forest = checked_forest(polygons)
     assert forest.parent == {"A": None, "B": "A", "C": "B"}
-    assert forest.roots() == ["A"]
-    assert forest.children()["B"] == ["C"]
 
 
 def test_forest_api():
     forest = NestingForest({"a": None, "b": "a", "c": "a", "d": None})
-    assert forest.roots() == ["a", "d"]
-    assert forest.children()["a"] == ["b", "c"]
-    assert forest.depth("c") == 1
     assert forest.depths() == {"a": 0, "b": 1, "c": 1, "d": 0}
 
 
@@ -305,7 +345,7 @@ def _check_treap(status):
         if par is not None:
             assert par.prio <= node.prio
         stack.extend(((node.left, node), (node.right, node)))
-    assert count == len(status)
+    assert count == len(status._entries)
 
 
 def _apex_fan():
@@ -333,7 +373,7 @@ def test_status_any_insert_order_at_one_abscissa():
         for seg in order:
             status.insert(seg, 0)
             _check_treap(status)
-        assert [e.segment for e in status.in_order()] == top_down
+        assert [e.segment for e in status_order(status)] == top_down
 
 
 def test_status_bottom_before_top_with_a_third_polygon_between():
@@ -343,8 +383,8 @@ def test_status_bottom_before_top_with_a_third_polygon_between():
     status = SweepStatus()
     for seg in (b_bot, c_bot, b_top, a_bot, c_top, a_top):
         status.insert(seg, 0)
-    assert [e.segment for e in status.in_order()] == top_down
-    assert status.predecessor(status.in_order()[2]).segment is b_bot
+    assert [e.segment for e in status_order(status)] == top_down
+    assert status.predecessor(status_order(status)[2]).segment is b_bot
     # Removing the latest insert leaves no stale finger behind.
     status.remove(a_top)
     status.remove(a_bot)
@@ -352,7 +392,7 @@ def test_status_bottom_before_top_with_a_third_polygon_between():
     status.remove(a_top)
     entry = status.insert(a_bot, 0)
     assert status.predecessor(entry).segment is c_bot
-    assert [e.segment for e in status.in_order()] == top_down[:4] + [a_bot]
+    assert [e.segment for e in status_order(status)] == top_down[:4] + [a_bot]
     _check_treap(status)
 
 
@@ -401,5 +441,5 @@ def test_forest_where_local_minima_share_a_point(polygons):
     from nestpoly import validate
 
     assert validate(polygons).ok
-    forest = nesting_forest(polygons, debug=True)
+    forest = checked_forest(polygons)
     assert forest.parent == brute_force_forest(polygons).parent
