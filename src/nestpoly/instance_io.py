@@ -19,14 +19,14 @@ from .forest import NestingForest
 from .geometry import Coord, Polygon, decimal_ratio, polygon_from_columns
 
 
-def load_json(text: str):
+def load_json(text: str, object_hook=None):
     """json.loads, raising ParseError for text that is not JSON.
 
     That covers malformed JSON (with line and column) and arrays or objects
-    nested too deeply for the parser.
+    nested too deeply for the parser. object_hook goes to json.loads.
     """
     try:
-        return json.loads(text)
+        return json.loads(text, object_hook=object_hook)
     except json.JSONDecodeError as exc:
         raise ParseError(
             f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
@@ -39,7 +39,7 @@ def parse_instance(text) -> List[Polygon]:
     """Parse an instance document from str or bytes.
 
     Every polygon comes out over one denominator L: the least common
-    multiple of the denominators of the document's decimal strings, 1 when
+    multiple of the denominators of the polygons' decimal strings, 1 when
     all coordinates are JSON integers. Each distinct string is checked and
     reduced to a numerator and denominator once, with int arithmetic, so no
     Fraction is made; every column entry is then an int scaled by L.
@@ -55,27 +55,31 @@ def parse_instance(text) -> List[Polygon]:
             raise ParseError(
                 f"input is not UTF-8: byte {exc.start} cannot be decoded"
             ) from exc
-    doc = load_json(text)
+    ratios: Dict[str, Tuple[int, int]] = {}
+
+    def fold(obj: dict) -> dict:
+        # Valid vertices become a _Row; _read_rows reports on the rest.
+        try:
+            obj["vertices"] = _row(obj.get("id"), obj.get("vertices"), ratios)
+        except ValueError:
+            pass
+        return obj
+
+    doc = load_json(text, fold)
+    del text
     if not isinstance(doc, dict) or "polygons" not in doc:
         raise SemanticError('top-level object must contain "polygons"')
     items = doc["polygons"]
     if not isinstance(items, list) or not items:
         raise SemanticError('"polygons" must be a non-empty list')
-    rows: List[Tuple[str, tuple, tuple]] = []
-    ratios: Dict[str, Tuple[int, int]] = {}
-    try:
-        _read_rows(items, rows, ratios)
-        failure = None
-    except SemanticError as exc:
-        # Errors come in document order: the rows before this one are
-        # checked as polygons first.
-        failure = exc
-    # rows holds all that is left to read: let the document go first.
-    del doc, items
-    den = math.lcm(*(d for _, d in ratios.values()))
+    rows: List[_Row] = []
+    # Errors come in document order: earlier rows are built first.
+    failure = _read_rows(items, rows, ratios)
+    # L from the rows alone: ratios also holds other objects' strings.
+    den = math.lcm(*(row[3] for row in rows))
     scaled = {s: n * (den // d) for s, (n, d) in ratios.items()}
     polygons: List[Polygon] = []
-    for pid, xs, ys in rows:
+    for pid, xs, ys, _ in rows:
         if scaled:
             xs = _scale_column(xs, den, scaled)
             ys = _scale_column(ys, den, scaled)
@@ -89,50 +93,58 @@ def parse_instance(text) -> List[Polygon]:
 
 
 def _read_rows(items: list, rows: list, ratios: Dict[str, Tuple[int, int]]):
-    """Check the document's polygons in order; append (id, xs, ys) to rows.
-
-    A column entry is a JSON int or a decimal string; ratios gets each
-    distinct string's (numerator, denominator), so each is checked and
-    reduced once. Raises SemanticError at the first schema violation, with
-    the rows before it appended.
-    """
+    """Check the document's polygons in order, append a _Row for each and
+    drop each item once read. Returns a SemanticError for the first schema
+    violation, with the rows before it appended, or None."""
     seen = set()
     for i, item in enumerate(items):
+        items[i] = None
         if not isinstance(item, dict):
-            raise SemanticError(f"polygon #{i} is not an object")
+            return SemanticError(f"polygon #{i} is not an object")
         pid = item.get("id")
         if not isinstance(pid, str) or not pid:
-            raise SemanticError(f"polygon #{i} needs a non-empty string id")
+            return SemanticError(f"polygon #{i} needs a non-empty string id")
         if pid in seen:
-            raise SemanticError(f"duplicate polygon id {pid!r}")
+            return SemanticError(f"duplicate polygon id {pid!r}")
         seen.add(pid)
         verts = item.get("vertices")
-        if not isinstance(verts, list):
-            raise SemanticError(f"polygon {pid!r}: vertices must be a list")
-        xs = []
-        ys = []
-        for j, v in enumerate(verts):
-            if not isinstance(v, (list, tuple)) or len(v) != 2:
-                raise SemanticError(
-                    f"polygon {pid!r}: vertex #{j} must be an [x, y] pair"
-                )
-            x, y = v
+        if verts.__class__ is not _Row:
             try:
-                if x.__class__ is not int:
-                    _add_ratio(x, ratios)
-                if y.__class__ is not int:
-                    _add_ratio(y, ratios)
+                verts = _row(pid, verts, ratios)
             except ValueError as exc:
-                raise SemanticError(
-                    f"polygon {pid!r}: vertex #{j}: {exc}"
-                ) from exc
-            xs.append(x)
-            ys.append(y)
-        rows.append((pid, tuple(xs), tuple(ys)))
+                return SemanticError(f"polygon {pid!r}: {exc}")
+        rows.append(verts)
 
 
-def _add_ratio(value, ratios: Dict[str, Tuple[int, int]]) -> None:
-    """Check a coordinate that is not a JSON int; note a new string's ratio."""
+class _Row(tuple):
+    """(id, xs, ys, den), kept off CPython's free list of plain tuples."""
+    __slots__ = ()
+
+
+def _row(pid, verts, ratios: Dict[str, Tuple[int, int]]) -> _Row:
+    """Columns of JSON ints and decimal strings over den, the LCM of the
+    strings' denominators; ValueError at the vertex list's first fault."""
+    if verts.__class__ is not list:
+        raise ValueError("vertices must be a list")
+    den = 1
+    for j, v in enumerate(verts):
+        if v.__class__ is not list or len(v) != 2:
+            raise ValueError(f"vertex #{j} must be an [x, y] pair")
+        x, y = v
+        try:
+            if x.__class__ is not int:
+                den = _add_ratio(x, ratios, den)
+            if y.__class__ is not int:
+                den = _add_ratio(y, ratios, den)
+        except ValueError as exc:
+            raise ValueError(f"vertex #{j}: {exc}") from None
+    # One zip, not appends: list growth would scatter the decoder's ints.
+    xs, ys = zip(*verts) if verts else ((), ())
+    return _Row((pid, xs, ys, den))
+
+
+def _add_ratio(value, ratios: Dict[str, Tuple[int, int]], den: int) -> int:
+    """Check a coordinate that is not a JSON int; lcm(den, its denominator)."""
     cls = value.__class__
     if cls is not str:
         if cls is bool or cls is float:
@@ -140,8 +152,10 @@ def _add_ratio(value, ratios: Dict[str, Tuple[int, int]]) -> None:
                 "coordinates must be integers or finite-decimal strings"
             )
         raise ValueError(f"unsupported coordinate type: {cls.__name__}")
-    if value not in ratios:
-        ratios[value] = decimal_ratio(value)
+    ratio = ratios.get(value)
+    if ratio is None:
+        ratio = ratios[value] = decimal_ratio(value)
+    return den if den % ratio[1] == 0 else math.lcm(den, ratio[1])
 
 
 def _scale_column(column: tuple, den: int, scaled: Dict[str, int]) -> tuple:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from typing import List, Optional, Sequence, Tuple
+from xml.sax.saxutils import escape
 
 from .errors import SemanticError
 from .forest import NestingForest
@@ -74,7 +75,7 @@ def render_svg(
         lines.append(
             f'<text x="{tx(cx):g}" y="{ty(cy):g}" font-size="{font:g}" '
             f'text-anchor="middle" fill="#111111">'
-            f"{p.id}({depths[p.id]})</text>"
+            f"{escape(p.id)}({depths[p.id]})</text>"
         )
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

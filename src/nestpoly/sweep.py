@@ -14,8 +14,8 @@ import math
 import random
 from dataclasses import dataclass
 from functools import cmp_to_key
-from itertools import groupby
-from operator import attrgetter
+from itertools import chain, compress, count
+from operator import and_, attrgetter, eq
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .errors import CoincidentSegments, OutOfDomain, SemanticError
@@ -297,18 +297,31 @@ def build_events(segments: Sequence[MaxSegment]) -> List[Event]:
         for s in sorted(segments, key=lambda s: s.xs[-1])
     ]
     # A segment inserted at x starts at x, so its height there is ys[0]:
-    # two stable sorts order the inserts by x, then top to bottom, and only
-    # segments that share a start point go to tie_break. A tie_break key
-    # for every segment would keep two new objects per segment alive during
-    # the sort, enough to set off a full garbage collection.
+    # two stable sorts order the inserts by x, then top to bottom. Only runs
+    # that share a start point go to tie_break: a key for every segment
+    # would keep two new objects per segment alive, and set off a full GC.
     inserts = sorted(segments, key=lambda s: s.ys[0], reverse=True)
     inserts.sort(key=lambda s: s.xs[0])
+    xs = [s.xs[0] for s in inserts]
+    ys = [s.ys[0] for s in inserts]
+    # i when segment i starts where segment i - 1 does; -1 ends the last run.
+    same = map(and_, map(eq, xs[1:], xs), map(eq, ys[1:], ys))
+    lo = hi = 0
+    for i in chain(compress(count(1), same), (-1,)):
+        if i != hi:
+            if hi - lo == 2:  # the one comparison sorted would make
+                if _cmp_shared_start(inserts[lo + 1], inserts[lo]) < 0:
+                    inserts[lo], inserts[lo + 1] = inserts[lo + 1], inserts[lo]
+            else:
+                inserts[lo:hi] = sorted(inserts[lo:hi], key=_start_key)
+            lo = i - 1
+        hi = i + 1
+    del xs, ys, same  # four lists, alive at the sort below otherwise
     seen_polygons: Set[str] = set()
-    for (x, _), run in groupby(inserts, lambda s: (s.xs[0], s.ys[0])):
-        for s in sorted(run, key=_start_key):
-            pid = s.polygon_id
-            events.append(Event("insert", x, s, pid not in seen_polygons))
-            seen_polygons.add(pid)
+    for s in inserts:
+        pid = s.polygon_id
+        events.append(Event("insert", s.xs[0], s, pid not in seen_polygons))
+        seen_polygons.add(pid)
     # Two sorted runs: the stable sort merges them in linear time and keeps
     # removes before inserts at each abscissa.
     events.sort(key=attrgetter("xi"))

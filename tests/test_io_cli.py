@@ -1,12 +1,15 @@
 """JSON formats, serialization round-trips, and the command line tool."""
 
+import gc
 import io
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
+from xml.dom import minidom
 
 import pytest
 
@@ -14,12 +17,14 @@ from nestpoly import (
     DegenerateAllCollinear,
     DuplicateConsecutiveVertex,
     Edge,
+    GenConfig,
     ParityInconsistency,
     ParseError,
     Point,
     SemanticError,
     TooFewVertices,
     forest_document,
+    generate,
     make_polygon,
     nesting_forest,
     parse_instance,
@@ -170,6 +175,152 @@ def test_parse_errors_in_document_order():
         assert str(exc.value) == message
 
 
+TRI = [[0, 0], [4, 0], [0, 4]]
+DECIMAL_TRI = [["0.5", 0], [4, "0.25"], [0, 4]]
+POLY = {"id": "p", "vertices": TRI}
+DECIMAL_POLY = {"id": "p", "vertices": DECIMAL_TRI}
+BAD_POLY = {"id": "p", "vertices": [["1e5", 0], [4, 0], [0, 4]]}
+
+
+def _doc(*items, **top):
+    return {"polygons": list(items), **top}
+
+
+# Polygon-like objects in every position, and bad decimals and vertices at
+# several positions, with the message each one gives.
+MALFORMED = [
+    ("id-is-polygon", _doc({"id": POLY, "vertices": TRI}),
+     "polygon #0 needs a non-empty string id"),
+    ("id-is-bad-polygon", _doc({"id": BAD_POLY, "vertices": TRI}),
+     "polygon #0 needs a non-empty string id"),
+    ("vertex-is-polygon", _doc({"id": "a", "vertices": [POLY, [4, 0], [0, 4]]}),
+     "polygon 'a': vertex #0 must be an [x, y] pair"),
+    ("coordinate-is-polygon",
+     _doc({"id": "a", "vertices": [[0, 0], [4, DECIMAL_POLY], [0, 4]]}),
+     "polygon 'a': vertex #1: unsupported coordinate type: dict"),
+    ("vertices-is-polygon", _doc({"id": "a", "vertices": POLY}),
+     "polygon 'a': vertices must be a list"),
+    ("vertices-is-decimal-polygon", _doc({"id": "a", "vertices": DECIMAL_POLY}),
+     "polygon 'a': vertices must be a list"),
+    ("item-is-list-of-polygons",
+     _doc({"id": "a", "vertices": TRI}, [POLY, DECIMAL_POLY]),
+     "polygon #1 is not an object"),
+    ("item-is-string", _doc({"id": "a", "vertices": TRI}, "b"),
+     "polygon #1 is not an object"),
+    ("polygons-is-polygon", {"polygons": POLY},
+     '"polygons" must be a non-empty list'),
+    ("polygons-is-empty", {"polygons": [], "vertices": TRI},
+     '"polygons" must be a non-empty list'),
+    ("no-polygons-but-vertices", {"id": "a", "vertices": TRI},
+     'top-level object must contain "polygons"'),
+    ("top-level-list", [POLY], 'top-level object must contain "polygons"'),
+    ("extra-bad-polygon-then-bad-decimal",
+     _doc({"id": "a", "vertices": DECIMAL_TRI, "extra": BAD_POLY},
+          {"id": "b", "vertices": [[0, 0], ["1.2.3", 0], [0, 4]]}),
+     "polygon 'b': vertex #1: not an integer or finite decimal: '1.2.3'"),
+    ("extra-decimal-polygon-then-duplicate",
+     _doc({"id": "a", "vertices": TRI, "extra": DECIMAL_POLY},
+          {"id": "a", "vertices": TRI}),
+     "duplicate polygon id 'a'"),
+    ("top-level-bad-vertices-then-bad-shape",
+     _doc({"id": "a", "vertices": [[0, 0], [4, 0, 1], [0, 4]]},
+          vertices=[["x", 0]], meta=BAD_POLY),
+     "polygon 'a': vertex #1 must be an [x, y] pair"),
+    ("bad-decimal-first-x", _doc({"id": "a", "vertices": [["1e5", 0], [4, 0], [0, 4]]}),
+     "polygon 'a': vertex #0: not an integer or finite decimal: '1e5'"),
+    ("bad-decimal-last-y", _doc({"id": "a", "vertices": [[0, 0], [4, 0], [0, "4."]]}),
+     "polygon 'a': vertex #2: not an integer or finite decimal: '4.'"),
+    ("bad-decimal-middle",
+     _doc({"id": "a", "vertices": [[0, 0], ["0.5", ".5"], [0, 4]]}),
+     "polygon 'a': vertex #1: not an integer or finite decimal: '.5'"),
+    ("bad-decimal-second-polygon",
+     _doc({"id": "a", "vertices": DECIMAL_TRI},
+          {"id": "b", "vertices": [[0, 0], [4, 0], ["+1", 4]]}),
+     "polygon 'b': vertex #2: not an integer or finite decimal: '+1'"),
+    ("bad-decimal-after-good-same-string",
+     _doc({"id": "a", "vertices": [["0.5", 0], [4, 0], [0, 4]]},
+          {"id": "b", "vertices": [["0.5", 0], [4, 0], ["0.5.", 4]]}),
+     "polygon 'b': vertex #2: not an integer or finite decimal: '0.5.'"),
+    ("float-after-decimals",
+     _doc({"id": "a", "vertices": [["0.5", 0], [4, 0.5], [0, 4]]}),
+     "polygon 'a': vertex #1: coordinates must be integers or finite-decimal "
+     "strings"),
+    ("bool-coordinate", _doc({"id": "a", "vertices": [[0, 0], [True, 0], [0, 4]]}),
+     "polygon 'a': vertex #1: coordinates must be integers or finite-decimal "
+     "strings"),
+    ("null-coordinate", _doc({"id": "a", "vertices": [[0, 0], [4, 0], [0, None]]}),
+     "polygon 'a': vertex #2: unsupported coordinate type: NoneType"),
+    ("list-coordinate", _doc({"id": "a", "vertices": [[0, 0], [[4], 0], [0, 4]]}),
+     "polygon 'a': vertex #1: unsupported coordinate type: list"),
+    ("vertex-of-three", _doc({"id": "a", "vertices": [[0, 0], [4, 0], [0, 4, 1]]}),
+     "polygon 'a': vertex #2 must be an [x, y] pair"),
+    ("vertex-of-one", _doc({"id": "a", "vertices": [[0], [4, 0], [0, 4]]}),
+     "polygon 'a': vertex #0 must be an [x, y] pair"),
+    ("vertex-is-string", _doc({"id": "a", "vertices": ["ab", [4, 0], [0, 4]]}),
+     "polygon 'a': vertex #0 must be an [x, y] pair"),
+    ("bad-decimal-before-bad-shape", _doc({"id": "a", "vertices": [[0, "1e5"], [4]]}),
+     "polygon 'a': vertex #0: not an integer or finite decimal: '1e5'"),
+    ("vertices-missing", _doc({"id": "a"}), "polygon 'a': vertices must be a list"),
+    ("vertices-null", _doc({"id": "a", "vertices": None}),
+     "polygon 'a': vertices must be a list"),
+    ("empty-id-before-bad-vertices", _doc({"id": "", "vertices": [[0]]}),
+     "polygon #0 needs a non-empty string id"),
+    ("duplicate-id-with-bad-vertices",
+     _doc({"id": "a", "vertices": TRI}, {"id": "a", "vertices": [["1e5", 0]]}),
+     "duplicate polygon id 'a'"),
+    ("too-few-then-bad-decimal",
+     _doc({"id": "a", "vertices": [["0.5", 0], [4, 0]]},
+          {"id": "b", "vertices": [["1e5", 0]]}),
+     "polygon 'a': polygon 'a': 2 vertices"),
+    ("repeat-then-not-an-object",
+     _doc({"id": "a", "vertices": [["0.5", 0], ["0.50", 0], [0, 4]]}, 7),
+     "polygon 'a': polygon 'a': vertex 0 repeats at "
+     "Point(x=Fraction(1, 2), y=0)"),
+]
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [pytest.param(doc, message, id=name) for name, doc, message in MALFORMED],
+)
+def test_parse_malformed_documents(doc, message):
+    with pytest.raises(SemanticError) as exc:
+        parse_instance(json.dumps(doc))
+    assert type(exc.value) is SemanticError
+    assert str(exc.value) == message
+
+
+def test_parse_denominator_comes_from_polygons_only():
+    # Decimal strings outside the polygons' vertex lists, even in objects
+    # shaped like polygons, leave the denominator alone.
+    doc = _doc(
+        {"id": "a", "vertices": [["0.5", 0], [2, 0], [0, 2]],
+         "extra": {"id": "q", "vertices": [["0.001", 0], [1, 0], [0, 1]]}},
+        meta={"id": "m", "vertices": [["0.0625", 0], [1, 0], [0, 1]]},
+    )
+    (p,) = parse_instance(json.dumps(doc))
+    assert (p.xs, p.ys, p.denominator) == ((1, 4, 0), (0, 0, 4), 2)
+
+
+def _peak_bytes(fn, *args):
+    gc.collect()
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_parse_peaks_below_json_loads():
+    # Each polygon's vertex lists become columns while the decoder runs, so
+    # parse never holds the whole document tree that json.loads returns.
+    text = serialize_instance(
+        generate(GenConfig(seed=1, n_roots=300, max_depth=2))
+    )
+    assert _peak_bytes(parse_instance, text) < _peak_bytes(json.loads, text)
+
+
 def test_parse_error_reports_position():
     with pytest.raises(ParseError) as exc:
         parse_instance('{"polygons": [')
@@ -312,6 +463,12 @@ def test_render_svg_contains_polygons(nested_squares):
     assert "<svg" in svg
     assert svg.count("<polygon") == 2
     assert ">I(1)<" in svg and ">O(0)<" in svg
+
+
+def test_render_svg_escapes_ids():
+    svg = render_svg([square("a<b&c", 0, 0, 10), square('"q">', 2, 2, 6)])
+    labels = minidom.parseString(svg).getElementsByTagName("text")
+    assert [t.firstChild.data for t in labels] == ["a<b&c(0)", '"q">(1)']
 
 
 # CLI ------------------------------------------------------------------------

@@ -3,15 +3,22 @@
 `perfbench/layers.py` looks up each layer by its exported name and drives
 the sweep status through its public methods. A renamed export or a changed
 event or status shape would drop metrics from a traced benchmark run; these
-tests catch that here.
+tests catch that here, and a short run of `perfbench/run.py` checks that
+the benchmark still ends in its result line.
 """
 
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import nestpoly
 
-LAYERS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+ROOT = Path(__file__).resolve().parents[1]
+LAYERS_PY = ROOT / "perfbench" / "layers.py"
 
 
 def _load_layers():
@@ -40,3 +47,19 @@ def test_drive_status_reports_every_metric(small_corpus):
     result = layers.drive_status(nestpoly, polygons)
     assert set(layers.STATUS_METRICS + layers.COUNT_METRICS) <= set(result)
     assert result["count.events"] == 2 * result["count.N"] > 0
+
+
+@pytest.mark.parametrize("trace", ["0", "1"])
+def test_run_py_ends_in_a_result_line(trace):
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "quadtree-decimal",
+         "--seed", "1", "--seconds", "0.5", "--trace", trace],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())
+    names = declared["per_layer" if trace == "1" else "end_to_end"]
+    assert {m["name"] for m in names} <= set(result["metrics"])
+    assert "absent layers" not in proc.stdout

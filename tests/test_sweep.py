@@ -66,7 +66,9 @@ def test_build_events_removal_before_insertion(shared_edge_squares):
 
 
 def test_build_events_properties(small_corpus):
-    for polygons in small_corpus[:8]:
+    # The fans and the quadtree have runs of inserts at one start point.
+    shared_starts = [_apex_fan(), _fan_in_a_cone(), _quadtree(seed=4, levels=5)]
+    for polygons in small_corpus[:8] + shared_starts:
         segments = all_segments(polygons)
         events = build_events(segments)
         assert len(events) == 2 * len(segments)
