@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 from typing import List, Optional, Sequence, Tuple
 from xml.sax.saxutils import escape
 
@@ -11,6 +12,8 @@ from .forest import NestingForest
 from .geometry import Polygon
 from .sweep import nesting_forest
 
+# Each character that XML 1.0 or UTF-8 cannot carry (lone surrogates).
+_NOT_XML = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
 _PALETTE = (
     "#4e79a7",
     "#f28e2b",
@@ -72,10 +75,11 @@ def render_svg(
     for p, xs, ys in order:
         cx = _require_finite(sum(xs) / len(xs), f"the label of {p.id!r}")
         cy = _require_finite(sum(ys) / len(ys), f"the label of {p.id!r}")
+        label = escape(_NOT_XML.sub("\ufffd", p.id))
         lines.append(
             f'<text x="{tx(cx):g}" y="{ty(cy):g}" font-size="{font:g}" '
             f'text-anchor="middle" fill="#111111">'
-            f"{escape(p.id)}({depths[p.id]})</text>"
+            f"{label}({depths[p.id]})</text>"
         )
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

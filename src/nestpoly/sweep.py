@@ -15,8 +15,8 @@ import random
 from dataclasses import dataclass
 from functools import cmp_to_key
 from itertools import chain, compress, count
-from operator import and_, attrgetter, eq
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from operator import and_, eq
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .errors import CoincidentSegments, OutOfDomain, SemanticError
 from .forest import NestingForest
@@ -274,6 +274,39 @@ class Event:
     first: bool = False
 
 
+@dataclass(slots=True)
+class SweepEvents:
+    """One insert and one remove per segment, merged as they are read.
+
+    Events come by abscissa, removes first at each one; the first insert of
+    each polygon has first=True. Each Event is made when it is read.
+    """
+
+    removes: List[MaxSegment]  # by right x
+    inserts: List[MaxSegment]  # by left x, then top to bottom
+
+    def __len__(self) -> int:
+        return 2 * len(self.inserts)
+
+    def __iter__(self) -> Iterator[Event]:
+        seen: Set[str] = set()
+        removes = iter(self.removes)
+        r = next(removes, None)
+        for s in self.inserts:
+            x = s.xs[0]
+            # Each segment ends right of its start, so the last remove
+            # comes after every insert: removes cannot run out here.
+            while (end := r.xs[-1]) <= x:
+                yield Event("remove", end, r)
+                r = next(removes)
+            pid = s.polygon_id
+            yield Event("insert", x, s, pid not in seen)
+            seen.add(pid)
+        while r is not None:
+            yield Event("remove", r.xs[-1], r)
+            r = next(removes, None)
+
+
 def _cmp_shared_start(a: MaxSegment, b: MaxSegment) -> int:
     # Two segments that start at one point: their first edges decide.
     ax, ay, bx, by = a.xs, a.ys, b.xs, b.ys
@@ -285,17 +318,9 @@ def _cmp_shared_start(a: MaxSegment, b: MaxSegment) -> int:
 _start_key = cmp_to_key(_cmp_shared_start)
 
 
-def build_events(segments: Sequence[MaxSegment]) -> List[Event]:
-    """Merged event list: one insert and one remove per segment.
-
-    Events are ordered by abscissa; at equal abscissa every remove precedes
-    every insert, and inserts are ordered top to bottom at that abscissa.
-    The first insert of each polygon carries first=True.
-    """
-    events = [
-        Event("remove", s.xs[-1], s)
-        for s in sorted(segments, key=lambda s: s.xs[-1])
-    ]
+def build_events(segments: Sequence[MaxSegment]) -> SweepEvents:
+    """The sweep's events: removes by right x, inserts by start point."""
+    removes = sorted(segments, key=lambda s: s.xs[-1])
     # A segment inserted at x starts at x, so its height there is ys[0]:
     # two stable sorts order the inserts by x, then top to bottom. Only runs
     # that share a start point go to tie_break: a key for every segment
@@ -316,16 +341,7 @@ def build_events(segments: Sequence[MaxSegment]) -> List[Event]:
                 inserts[lo:hi] = sorted(inserts[lo:hi], key=_start_key)
             lo = i - 1
         hi = i + 1
-    del xs, ys, same  # four lists, alive at the sort below otherwise
-    seen_polygons: Set[str] = set()
-    for s in inserts:
-        pid = s.polygon_id
-        events.append(Event("insert", s.xs[0], s, pid not in seen_polygons))
-        seen_polygons.add(pid)
-    # Two sorted runs: the stable sort merges them in linear time and keeps
-    # removes before inserts at each abscissa.
-    events.sort(key=attrgetter("xi"))
-    return events
+    return SweepEvents(removes, inserts)
 
 
 @dataclass
@@ -382,7 +398,7 @@ def nesting_forest_with_stats(
     return NestingForest(parent), stats
 
 
-def _sweep(events: List[Event]) -> Dict[str, Optional[str]]:
+def _sweep(events: SweepEvents) -> Dict[str, Optional[str]]:
     """Run the status through the events; immediate container per polygon."""
     status = SweepStatus()
     parent: Dict[str, Optional[str]] = {}

@@ -4,16 +4,20 @@ None of this runs in `nestpoly nest`: the shoelace area of a vertex list,
 point location by winding number, the three x-monotonicity checkers, the
 direct segment count behind each parity, an any-two-segments view of the
 sweep's vertical order, the Point/Edge views of a segment that these
-checks read, a sweep status that re-checks its order after every insert,
-and a boundary-contact test for generated polygons.
+checks read, the sweep's events as one sorted list, a sweep status that
+re-checks its order after every insert, one that counts the events alive
+at the middle insert, and a boundary-contact test for generated polygons.
 """
 
 from __future__ import annotations
 
 import enum
+import gc
 import math
 from bisect import bisect_right
 from fractions import Fraction
+from functools import cmp_to_key
+from operator import attrgetter
 from typing import List, Optional, Sequence, Tuple
 
 import nestpoly.sweep
@@ -30,9 +34,11 @@ from nestpoly.geometry import (
 from nestpoly.oracle import PointLocation, _between, _half, on_edge
 from nestpoly.segments import MaxSegment, SegmentDecomposition, decompose
 from nestpoly.sweep import (
+    Event,
     StatusEntry,
     SweepStatus,
     _after,
+    _cmp_shared_start,
     _height_num,
     advance_current_edge,
 )
@@ -126,7 +132,50 @@ def cmp_at(xi, a: MaxSegment, b: MaxSegment) -> Rel:
     return Rel.BEFORE
 
 
-# --- A sweep that re-checks its status ----------------------------------------
+# --- The events as one list --------------------------------------------------
+
+
+def event_list(segments: Sequence[MaxSegment]) -> List[Event]:
+    """All events in one list, in the order the sweep reads them.
+
+    Removes go by right x, inserts by start point (left x, then top to
+    bottom, then tie_break); one stable sort by abscissa then puts every
+    remove before every insert at each abscissa. The first insert of each
+    polygon carries first=True.
+    """
+
+    def by_start(a: MaxSegment, b: MaxSegment) -> int:
+        ka, kb = (a.xs[0], -a.ys[0]), (b.xs[0], -b.ys[0])
+        if ka != kb:
+            return -1 if ka < kb else 1
+        return _cmp_shared_start(a, b)
+
+    events = [
+        Event("remove", s.xs[-1], s)
+        for s in sorted(segments, key=lambda s: s.xs[-1])
+    ]
+    seen = set()
+    for s in sorted(segments, key=cmp_to_key(by_start)):
+        events.append(Event("insert", s.xs[0], s, s.polygon_id not in seen))
+        seen.add(s.polygon_id)
+    events.sort(key=attrgetter("xi"))
+    return events
+
+
+# --- Sweeps through an instrumented status ------------------------------------
+
+
+def _forest_with(polygons: Sequence[Polygon], **patches) -> NestingForest:
+    """nesting_forest with the given names of nestpoly.sweep replaced."""
+    sweep = nestpoly.sweep
+    saved = {name: getattr(sweep, name) for name in patches}
+    for name, value in patches.items():
+        setattr(sweep, name, value)
+    try:
+        return sweep.nesting_forest(polygons)
+    finally:
+        for name, value in saved.items():
+            setattr(sweep, name, value)
 
 
 def status_order(status: SweepStatus) -> List[StatusEntry]:
@@ -172,8 +221,7 @@ def checked_forest(polygons: Sequence[Polygon]) -> NestingForest:
     polygon's interior below it (parity 1). Raises InternalOrderViolation
     when either check fails.
     """
-    sweep = nestpoly.sweep
-    build_events = sweep.build_events
+    build_events = nestpoly.sweep.build_events
 
     def checked_build_events(segments):
         events = build_events(segments)
@@ -185,12 +233,28 @@ def checked_forest(polygons: Sequence[Polygon]) -> NestingForest:
                 )
         return events
 
-    saved = sweep.SweepStatus, sweep.build_events
-    sweep.SweepStatus, sweep.build_events = CheckedStatus, checked_build_events
-    try:
-        return sweep.nesting_forest(polygons)
-    finally:
-        sweep.SweepStatus, sweep.build_events = saved
+    return _forest_with(
+        polygons, SweepStatus=CheckedStatus, build_events=checked_build_events
+    )
+
+
+def live_events_mid_sweep(polygons: Sequence[Polygon]) -> int:
+    """How many Event objects gc.get_objects() finds at the middle insert
+    of nesting_forest(polygons)."""
+    middle = sum(len(decompose(p).segments) for p in polygons) // 2
+    counts: List[int] = []
+
+    class CountingStatus(SweepStatus):
+        inserts = 0
+
+        def insert(self, segment: MaxSegment, xi) -> StatusEntry:
+            self.inserts += 1
+            if self.inserts == middle:
+                counts.append(sum(type(o) is Event for o in gc.get_objects()))
+            return super().insert(segment, xi)
+
+    _forest_with(polygons, SweepStatus=CountingStatus)
+    return counts[0]
 
 
 # --- Three independent checkers for the x-monotonicity property ------------

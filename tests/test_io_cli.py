@@ -471,6 +471,17 @@ def test_render_svg_escapes_ids():
     assert [t.firstChild.data for t in labels] == ["a<b&c(0)", '"q">(1)']
 
 
+UNCARRIABLE_IDS = {"a\ud800b": "a\ufffdb", "a\u0001b": "a\ufffdb"}
+
+
+@pytest.mark.parametrize("pid", UNCARRIABLE_IDS, ids=ascii)
+def test_render_svg_replaces_what_xml_cannot_carry(pid):
+    svg = render_svg([square(pid, 0, 0, 10), square("a\U0001f600\tb", 2, 2, 6)])
+    doc = minidom.parseString(svg.encode("utf-8"))
+    labels = [t.firstChild.data for t in doc.getElementsByTagName("text")]
+    assert labels == [UNCARRIABLE_IDS[pid] + "(0)", "a\U0001f600\tb(1)"]
+
+
 # CLI ------------------------------------------------------------------------
 
 
@@ -592,6 +603,15 @@ def test_cli_render(tmp_path):
         ["render", "-i", inst, "--forest", str(forest), "-o", str(svg)]
     ) == 0
     assert "<svg" in svg.read_text()
+
+
+@pytest.mark.parametrize("pid", UNCARRIABLE_IDS, ids=ascii)
+def test_cli_render_replaces_what_xml_cannot_carry(tmp_path, pid):
+    inst = write(tmp_path, "in.json", serialize_instance([square(pid, 0, 0, 4)]))
+    svg = tmp_path / "out.svg"
+    assert main(["render", "-i", inst, "-o", str(svg)]) == 0
+    labels = minidom.parse(str(svg)).getElementsByTagName("text")
+    assert labels[0].firstChild.data == UNCARRIABLE_IDS[pid] + "(0)"
 
 
 def test_cli_render_malformed_forest_rows(tmp_path, capsys):

@@ -33,6 +33,8 @@ from reference import (
     Rel,
     checked_forest,
     cmp_at,
+    event_list,
+    live_events_mid_sweep,
     status_order,
 )
 
@@ -44,7 +46,7 @@ def all_segments(polygons):
 def test_build_events_single_square():
     p = square("S", 0, 0, 4)
     top, bottom = top_bottom(p)
-    events = build_events([top, bottom])
+    events = list(build_events([top, bottom]))
     assert [(e.kind, e.xi) for e in events] == [
         ("insert", 0),
         ("insert", 0),
@@ -65,12 +67,15 @@ def test_build_events_removal_before_insertion(shared_edge_squares):
     assert {e.segment.polygon_id for e in at2[2:]} == {"B"}
 
 
-def test_build_events_properties(small_corpus):
+def _shared_starts():
     # The fans and the quadtree have runs of inserts at one start point.
-    shared_starts = [_apex_fan(), _fan_in_a_cone(), _quadtree(seed=4, levels=5)]
-    for polygons in small_corpus[:8] + shared_starts:
+    return [_apex_fan(), _fan_in_a_cone(), _quadtree(seed=4, levels=5)]
+
+
+def test_build_events_properties(small_corpus):
+    for polygons in small_corpus[:8] + _shared_starts():
         segments = all_segments(polygons)
-        events = build_events(segments)
+        events = list(build_events(segments))
         assert len(events) == 2 * len(segments)
         assert [e.xi for e in events] == sorted(e.xi for e in events)
         for prev, cur in zip(events, events[1:]):
@@ -84,6 +89,25 @@ def test_build_events_properties(small_corpus):
                     ) is Rel.BEFORE
         firsts = [e.segment.polygon_id for e in events if e.first]
         assert sorted(firsts) == sorted(p.id for p in polygons)
+
+
+def _fields(events):
+    return [(e.kind, e.xi, e.segment, e.first) for e in events]
+
+
+def test_build_events_matches_event_list(small_corpus):
+    for polygons in small_corpus + _shared_starts():
+        segments = all_segments(polygons)
+        events = build_events(segments)
+        expected = _fields(event_list(segments))
+        assert _fields(events) == expected
+        assert _fields(events) == expected  # a second pass reads the same
+        assert len(events) == 2 * len(segments)
+
+
+def test_sweep_holds_at_most_two_events():
+    rings = [square(f"r{i:03d}", i, i, 2 * (300 - i)) for i in range(300)]
+    assert live_events_mid_sweep(rings) <= 2
 
 
 def test_status_predecessor_square_alone():
