@@ -11,7 +11,6 @@ from .errors import (
     DuplicateConsecutiveVertex,
     GenerationFailed,
     InputError,
-    InternalOrderViolation,
     NestpolyError,
     OutOfDomain,
     OverlapDetected,

@@ -139,7 +139,7 @@ def cmd_gen(args) -> int:
     if args.config:
         loaded = _read_json(args.config)
         if not isinstance(loaded, dict):
-            raise SemanticError("config must be a JSON object")
+            raise SemanticError("invalid generator config: not a JSON object")
         kwargs.update(loaded)
     flag_fields = {
         "seed": args.seed,
@@ -195,13 +195,13 @@ def cmd_bench(args) -> int:
         raise SemanticError(f"--sizes must be positive: {args.sizes!r}")
     if args.repeat <= 0:
         raise SemanticError(f"--repeat must be positive: {args.repeat}")
-    rows = bench_mod.run_benchmark(
+    text = bench_mod.run_benchmark(
         sizes,
         shape=args.shape,
         repeat=args.repeat,
         oracle_cutoff=args.oracle_cutoff,
     )
-    _write(args.output, bench_mod.rows_to_csv(rows))
+    _write(args.output, text)
     return EXIT_OK
 
 

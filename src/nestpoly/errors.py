@@ -55,10 +55,6 @@ class ParityInconsistency(NestpolyError):
     """
 
 
-class InternalOrderViolation(NestpolyError):
-    """Debug assertion failure inside the sweep status structure."""
-
-
 class ContainmentCycle(NestpolyError):
     """Mutual containment reported by the brute-force reference."""
 

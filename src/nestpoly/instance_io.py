@@ -86,7 +86,8 @@ def parse_instance(text) -> List[Polygon]:
         try:
             polygons.append(polygon_from_columns(pid, xs, ys, den))
         except InputError as exc:
-            raise SemanticError(f"polygon {pid!r}: {exc}") from exc
+            # Its text already names the polygon.
+            raise SemanticError(str(exc)) from exc
     if failure is not None:
         raise failure
     return polygons
@@ -185,8 +186,8 @@ def _encode_coord(value: Coord):
     return f"{sign}{text[:-digits]}.{text[-digits:]}" if digits else f"{sign}{text}"
 
 
-def instance_document(polygons: Sequence[Polygon]) -> dict:
-    return {
+def serialize_instance(polygons: Sequence[Polygon]) -> str:
+    doc = {
         "polygons": [
             {
                 "id": p.id,
@@ -198,10 +199,7 @@ def instance_document(polygons: Sequence[Polygon]) -> dict:
             for p in polygons
         ]
     }
-
-
-def serialize_instance(polygons: Sequence[Polygon]) -> str:
-    return json.dumps(instance_document(polygons), indent=2) + "\n"
+    return json.dumps(doc, indent=2) + "\n"
 
 
 def forest_document(

@@ -61,12 +61,8 @@ def point_in_polygon(p: Point, polygon: Polygon) -> PointLocation:
     return PointLocation.INSIDE if crossings % 2 else PointLocation.OUTSIDE
 
 
-def _half(v: Coord):
-    return Fraction(v, 2) if isinstance(v, int) else v / 2
-
-
 def _midpoint(p: Point, q: Point) -> Point:
-    return Point(_half(p.x + q.x), _half(p.y + q.y))
+    return Point(Fraction(p.x + q.x, 2), Fraction(p.y + q.y, 2))
 
 
 def _in_closed_triangle(p: Point, a: Point, b: Point, c: Point) -> bool:
@@ -104,21 +100,11 @@ def interior_point(polygon: Polygon) -> Point:
         if _in_closed_triangle(q, a, v, b):
             candidates.append(q)
 
-    attempts: List[Point] = []
-    if not candidates:
-        attempts.append(
-            Point(
-                _third(a.x + v.x + b.x),
-                _third(a.y + v.y + b.y),
-            )
-        )
-    else:
-        candidates.sort(key=lambda q: abs(cross(a, b, q)), reverse=True)
-        attempts.extend(_midpoint(v, q) for q in candidates)
-        attempts.append(
-            Point(_third(a.x + v.x + b.x), _third(a.y + v.y + b.y))
-        )
-
+    candidates.sort(key=lambda q: abs(cross(a, b, q)), reverse=True)
+    attempts = [_midpoint(v, q) for q in candidates]
+    attempts.append(
+        Point(Fraction(a.x + v.x + b.x, 3), Fraction(a.y + v.y + b.y, 3))
+    )
     for p in attempts:
         if point_in_polygon(p, polygon) is PointLocation.INSIDE:
             return p
@@ -127,7 +113,7 @@ def interior_point(polygon: Polygon) -> Point:
     # vertex abscissae and take the midpoint of the lowest crossing pair.
     xs = sorted({p.x for p in verts})
     for lo, hi in zip(xs, xs[1:]):
-        xi = _half(lo + hi)
+        xi = Fraction(lo + hi, 2)
         ys = []
         for e in polygon.edges:
             if e.is_vertical:
@@ -136,19 +122,13 @@ def interior_point(polygon: Polygon) -> Point:
             if exl <= xi < exr:
                 el, er = e.left, e.right
                 num = el.y * (er.x - el.x) + (xi - el.x) * (er.y - el.y)
-                ys.append(Fraction(num, er.x - el.x) if isinstance(num, int)
-                          and isinstance(er.x - el.x, int)
-                          else Fraction(num) / (er.x - el.x))
+                ys.append(Fraction(num, er.x - el.x))
         ys.sort()
         if len(ys) >= 2:
-            p = Point(xi, _half(ys[0] + ys[1]))
+            p = Point(xi, Fraction(ys[0] + ys[1], 2))
             if point_in_polygon(p, polygon) is PointLocation.INSIDE:
                 return p
     raise DegeneratePolygon(f"no interior point found for {polygon.id!r}")
-
-
-def _third(v: Coord):
-    return Fraction(v, 3) if isinstance(v, int) else v / 3
 
 
 def brute_force_forest(polygons: Sequence[Polygon]) -> NestingForest:
@@ -283,12 +263,6 @@ def _split_points(e: Edge, other: Polygon) -> List[Point]:
     return out
 
 
-def _frac(num, den) -> Fraction:
-    if isinstance(num, int) and isinstance(den, int):
-        return Fraction(num, den)
-    return Fraction(num) / Fraction(den)
-
-
 def _edge_intersections(e: Edge, f: Edge) -> List[Point]:
     """Points where f meets e, restricted to points lying on e."""
     d1 = cross(f.a, f.b, e.a)
@@ -306,7 +280,7 @@ def _edge_intersections(e: Edge, f: Edge) -> List[Point]:
         return pts
     if (d1 > 0) != (d2 > 0) and d1 != 0 and d2 != 0 \
             and (d3 > 0) != (d4 > 0) and d3 != 0 and d4 != 0:
-        t = _frac(d1, d1 - d2)
+        t = Fraction(d1, d1 - d2)
         return [
             Point(e.a.x + t * (e.b.x - e.a.x), e.a.y + t * (e.b.y - e.a.y))
         ]

@@ -48,7 +48,10 @@ def decompose(polygon: Polygon) -> SegmentDecomposition:
     Runs in O(n) on the polygon's coordinate columns. Vertical edges between
     two same-direction runs are absorbed into the segment; vertical edges
     between opposite-direction runs become connector runs and belong to no
-    segment.
+    segment. Around a closed cycle the non-vertical edges' dx sum to 0, so
+    both x-directions occur, and the runs of a cyclic sequence of two
+    directions come in even number: every boundary has an even number of
+    segments, at least two.
     """
     xs, ys = polygon.xs, polygon.ys
     n = len(xs)
@@ -66,12 +69,6 @@ def decompose(polygon: Polygon) -> SegmentDecomposition:
     run_starts = list(
         compress(range(len(turns)), map(ne, turns, turns[-1:] + turns[:-1]))
     )
-    if not run_starts:
-        # All non-vertical edges share one direction; impossible for a
-        # closed simple cycle, but guard against corrupt input.
-        raise ParityInconsistency(
-            f"polygon {polygon.id!r}: boundary never reverses x-direction"
-        )
 
     segments = []
     twice_area = polygon.twice_area
@@ -105,10 +102,6 @@ def assign_parities(
     Raises ParityInconsistency when no consistent assignment exists.
     """
     segs = decomposition.segments
-    if len(segs) % 2 != 0:
-        raise ParityInconsistency(
-            f"polygon {polygon.id!r}: odd number of segments"
-        )
     xs, ys = polygon.xs, polygon.ys
     ty = max(ys)
     tx = min(compress(xs, map(eq, ys, repeat(ty))))

@@ -5,8 +5,9 @@ point location by winding number, the three x-monotonicity checkers, the
 direct segment count behind each parity, an any-two-segments view of the
 sweep's vertical order, the Point/Edge views of a segment that these
 checks read, the sweep's events as one sorted list, a sweep status that
-re-checks its order after every insert, one that counts the events alive
-at the middle insert, and a boundary-contact test for generated polygons.
+re-checks its order after every insert (raising InternalOrderViolation),
+one that counts the events alive at the middle insert, and a
+boundary-contact test for generated polygons.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import nestpoly.sweep
 from nestpoly import NestingForest, make_polygon
-from nestpoly.errors import InternalOrderViolation, OutOfDomain
+from nestpoly.errors import NestpolyError, OutOfDomain
 from nestpoly.geometry import (
     Coord,
     Edge,
@@ -31,7 +32,7 @@ from nestpoly.geometry import (
     _twice_area,
     cross,
 )
-from nestpoly.oracle import PointLocation, _between, _half, on_edge
+from nestpoly.oracle import PointLocation, _between, on_edge
 from nestpoly.segments import MaxSegment, SegmentDecomposition, decompose
 from nestpoly.sweep import (
     Event,
@@ -191,6 +192,10 @@ def status_order(status: SweepStatus) -> List[StatusEntry]:
         out.append(cur)
         cur = cur.right
     return out
+
+
+class InternalOrderViolation(NestpolyError):
+    """A CheckedStatus or checked_forest check failed."""
 
 
 class CheckedStatus(SweepStatus):
@@ -368,7 +373,7 @@ def count_N(
 def parity_oracle(polygon: Polygon, segment: MaxSegment) -> int:
     """Interior-side parity from first principles: parity of the number of
     same-polygon segments at or above the segment at its x-midpoint."""
-    xi = _half(segment.xs[0] + segment.xs[-1])
+    xi = Fraction(segment.xs[0] + segment.xs[-1], 2)
     return count_N(polygon, segment, xi) % 2
 
 

@@ -154,7 +154,7 @@ def test_parse_wraps_polygon_errors(vertices, error, message):
     doc = json.dumps({"polygons": [{"id": "A", "vertices": vertices}]})
     with pytest.raises(SemanticError) as exc:
         parse_instance(doc)
-    assert str(exc.value) == f"polygon 'A': polygon 'A': {message}"
+    assert str(exc.value) == f"polygon 'A': {message}"
     assert isinstance(exc.value.__cause__, error)
 
 
@@ -165,7 +165,7 @@ def test_parse_errors_in_document_order():
     bad_coordinate = {"id": "B", "vertices": [["1e5", 0], [1, 0], [1, 1]]}
     for first, second, message in [
         (bad_polygon, bad_coordinate,
-         "polygon 'A': polygon 'A': vertex 0 repeats at "
+         "polygon 'A': vertex 0 repeats at "
          "Point(x=Fraction(1, 2), y=0)"),
         (bad_coordinate, bad_polygon,
          "polygon 'B': vertex #0: not an integer or finite decimal: '1e5'"),
@@ -271,10 +271,10 @@ MALFORMED = [
     ("too-few-then-bad-decimal",
      _doc({"id": "a", "vertices": [["0.5", 0], [4, 0]]},
           {"id": "b", "vertices": [["1e5", 0]]}),
-     "polygon 'a': polygon 'a': 2 vertices"),
+     "polygon 'a': 2 vertices"),
     ("repeat-then-not-an-object",
      _doc({"id": "a", "vertices": [["0.5", 0], ["0.50", 0], [0, 4]]}, 7),
-     "polygon 'a': polygon 'a': vertex 0 repeats at "
+     "polygon 'a': vertex 0 repeats at "
      "Point(x=Fraction(1, 2), y=0)"),
 ]
 
@@ -421,7 +421,17 @@ def test_nest_builds_no_fraction(monkeypatch, tmp_path, small_corpus):
     assert built[0] > 0
 
 
-def test_witnesses_in_input_units():
+REJECTED_PARITIES = [
+    ([[0, 0], [4, 0], [4, 5], [4, 3], [2, 4]],
+     "topmost vertex Point(x=4, y=5) lies on no segment"),
+    ([[1, 0], [1, 4], [4, 0], [1, 4], [0, 0]],
+     "vertex Point(x=1, y=4) is a mixed shared terminal"),
+    ([[2, 4], [0, 1], [0, 4], [2, 0], [1, 4], [0, 0], [0, 4]],
+     "alternation contradicts the slope rule at vertex Point(x=0, y=4)"),
+]
+
+
+def test_witnesses_in_input_units(tmp_path, capsys):
     # The topmost vertex lies on three maximal segments: the boundary passes
     # through it twice. The decimal instance is the integer one halved.
     integer = [[0, 3], [1, 1], [0, 3], [4, 4], [3, 4], [1, 0], [3, 4]]
@@ -437,6 +447,20 @@ def test_witnesses_in_input_units():
     template = "polygon 'P': vertex {} lies on 3 segments"
     assert message(integer) == template.format(Point(3, 4))
     assert message(decimal) == template.format(Point(Fraction(3, 2), 2))
+    # The other parity rejections that a vertex cycle can reach.
+    for vertices, text in REJECTED_PARITIES:
+        assert message(vertices) == f"polygon 'P': {text}"
+    # A model failure ends nest with exit 1 and one line.
+    unparitied = {"id": "P", "vertices": REJECTED_PARITIES[0][0]}
+    twins = [{"id": pid, "vertices": [[0, 0], [4, 0], [4, 4], [0, 4]]}
+             for pid in ("A", "B")]
+    for polygons, text in (
+        ([unparitied], f"polygon 'P': {REJECTED_PARITIES[0][1]}"),
+        (twins, "segments of polygons 'B' and 'A' coincide at x=0"),
+    ):
+        inst = write(tmp_path, "in.json", json.dumps({"polygons": polygons}))
+        assert main(["nest", "-i", inst]) == 1
+        assert capsys.readouterr() == ("", f"error: {text}\n")
     doc = json.dumps(
         {"polygons": [{"id": "D", "vertices": [
             ["0.5", 0], ["2.5", 0], ["2.5", 0], ["0.5", "1.5"]]}]}
@@ -444,7 +468,7 @@ def test_witnesses_in_input_units():
     with pytest.raises(SemanticError) as exc:
         parse_instance(doc)
     assert str(exc.value) == (
-        "polygon 'D': polygon 'D': vertex 1 repeats at "
+        "polygon 'D': vertex 1 repeats at "
         "Point(x=Fraction(5, 2), y=0)"
     )
     assert isinstance(exc.value.__cause__, DuplicateConsecutiveVertex)
@@ -580,6 +604,19 @@ def test_cli_gen_deterministic(tmp_path):
     assert main(args + ["-o", str(b)]) == 0
     assert a.read_text() == b.read_text()
     assert main(["validate", "-i", str(a)]) == 0
+    # The child-count and shape flags reach GenConfig; a lone
+    # --children-max keeps the default lower bound of 1.
+    args = ["gen", "--seed", "5", "--roots", "2", "--depth", "2",
+            "--shapes", "star,staircase"]
+    for flags, children in (
+        (["--children-min", "2", "--children-max", "3"], (2, 3)),
+        (["--children-max", "3"], (1, 3)),
+    ):
+        assert main(args + flags + ["-o", str(a)]) == 0
+        assert a.read_text() == serialize_instance(generate(GenConfig(
+            seed=5, n_roots=2, max_depth=2, children_per_node=children,
+            shape_mix={"star": 1, "staircase": 1},
+        )))
 
 
 def test_cli_gen_config_file(tmp_path):
@@ -685,6 +722,7 @@ def test_cli_render_beyond_float_range(tmp_path, capsys, vertices, message):
         {"touching_prob": "0.5"},
         {"shape_mix": "convex"},
         {"shape_mix": {"convex": 0}},
+        [1, 2],
     ],
     ids=json.dumps,
 )

@@ -166,10 +166,15 @@ def test_library_keeps_no_test_only_helpers():
     import ast
     import importlib
     import inspect
+    import re
+    from pathlib import Path
 
     import nestpoly
+    import nestpoly.bench
+    import nestpoly.errors
     import nestpoly.generator
     import nestpoly.geometry
+    import nestpoly.instance_io
     import nestpoly.oracle
     import nestpoly.segments
     import nestpoly.sweep
@@ -183,11 +188,16 @@ def test_library_keeps_no_test_only_helpers():
         "winding_location", "Rel", "cmp_at", "shoelace_area", "signed_area2",
     )
     generator_api = ("GenStats", "generate_with_stats", "touches")
+    wrappers = ("BenchRow", "rows_to_csv", "instance_document")
     for owner, names in (
-        (nestpoly, moved + generator_api),
+        (nestpoly, moved + generator_api + wrappers
+         + ("InternalOrderViolation",)),
+        (nestpoly.errors, ("InternalOrderViolation",)),
+        (nestpoly.bench, wrappers),
+        (nestpoly.instance_io, wrappers),
         (nestpoly.generator, generator_api),
         (nestpoly.segments, moved),
-        (nestpoly.oracle, moved),
+        (nestpoly.oracle, moved + ("_half", "_third", "_frac")),
         (nestpoly.geometry, moved + ("rescaled", "_div2")),
         (MaxSegment, ("edges", "span_edges", "min_v", "max_v", "edge_at")),
         (SegmentDecomposition, ("connector_runs", "polygon_id", "polygon")),
@@ -203,6 +213,8 @@ def test_library_keeps_no_test_only_helpers():
         nestpoly.sweep._sweep,
     ):
         assert "debug" not in inspect.signature(fn).parameters, fn.__name__
+    for fn in (nestpoly.bench.run_benchmark, nestpoly.bench.disjoint_instance):
+        assert "seed" not in inspect.signature(fn).parameters, fn.__name__
     with pytest.raises(ModuleNotFoundError):
         importlib.import_module("nestpoly.ordering")
     # The oracle checks the decomposition and the sweep, so it reads
@@ -219,3 +231,42 @@ def test_library_keeps_no_test_only_helpers():
                 names += [alias.name for alias in node.names]
                 for name in names:
                     assert not set(name.split(".")) & banned, name
+
+    # Every top-level function and class of the library is read by other
+    # library code (its own definition and the re-export aside), by
+    # perfbench, which also finds names by string, or is a README "Library"
+    # entry point.
+    def names_read(nodes, strings=False):
+        out = set()
+        for node in (n for top in nodes for n in ast.walk(top)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                out.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                out.add(node.attr)
+            elif strings and isinstance(node, ast.Constant):
+                out.add(node.value)
+        return out
+
+    library = Path(nestpoly.__file__).resolve().parent
+    root = library.parents[1]
+    bodies = [
+        ast.parse(path.read_text(encoding="utf-8")).body
+        for path in sorted(library.glob("*.py"))
+        if path.name != "__init__.py"
+    ]
+    outside = names_read(
+        (ast.parse(path.read_text(encoding="utf-8"))
+         for path in sorted((root / "perfbench").glob("*.py"))),
+        strings=True,
+    )
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    outside |= set(re.findall(r"\w+", readme.split("\n## Library\n")[1]))
+    tops = [node for body in bodies for node in body]
+    reads = [names_read([node]) for node in tops]
+    unread = [
+        node.name for i, node in enumerate(tops)
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name not in outside
+        and not any(node.name in r for j, r in enumerate(reads) if j != i)
+    ]
+    assert unread == []

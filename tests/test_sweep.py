@@ -18,8 +18,9 @@ from nestpoly import (
     serialize_forest,
     serialize_instance,
     transform,
+    validate,
 )
-from nestpoly.errors import InternalOrderViolation, OutOfDomain
+from nestpoly.errors import CoincidentSegments, OutOfDomain
 from nestpoly.sweep import (
     StatusEntry,
     SweepStatus,
@@ -30,6 +31,7 @@ from nestpoly.sweep import (
 from conftest import segments_of, square, top_bottom
 from reference import (
     CheckedStatus,
+    InternalOrderViolation,
     Rel,
     checked_forest,
     cmp_at,
@@ -249,8 +251,6 @@ def test_forest_crossing_is_rejected(crossing_pair):
     # The crossing pair violates the overlap-free precondition. The sweep
     # itself only compares at insertion abscissas and may not notice, but
     # the validator must flag the pair before it is ever swept.
-    from nestpoly import validate
-
     report = validate(crossing_pair)
     assert not report.ok
     assert any(v.kind == "interior_overlap" for v in report.violations)
@@ -294,6 +294,37 @@ def test_decimal_overlap_witness_in_input_units():
 
     with pytest.raises(OverlapDetected, match=r"coincide at x=1/2$"):
         nesting_forest([cell("A"), cell("B")])
+
+
+def test_polygons_over_different_denominators_in_one_call():
+    # Built apart, over 1, 7 and 4, and brought over 28 by the sweep. A and
+    # B share part of an edge, C touches A at a corner, D lies on B's bottom.
+    t = Fraction(1, 7)
+    polygons = [
+        make_polygon("O", [(0, 0), (4, 0), (4, 4), (0, 4)]),
+        make_polygon("A", [(t, t), (2, t), (2, 2), (t, 2)]),
+        make_polygon("B", [(2, "0.25"), ("3.75", "0.25"), ("3.75", 2),
+                           (2, 2)]),
+        make_polygon("C", [(t, t), (1, 2 * t), (1, 1)]),
+        make_polygon("D", [("2.25", "0.25"), (3, "0.25"), (3, 1)]),
+    ]
+    assert [p.denominator for p in polygons] == [1, 7, 4, 7, 4]
+    assert validate(polygons).ok
+    forest = nesting_forest(polygons)
+    assert forest.parent == {"O": None, "A": "O", "B": "O", "C": "A",
+                             "D": "B"}
+    assert forest.parent == brute_force_forest(polygons).parent
+    # Two unit squares of equal area, over 7 and over 4, tie completely
+    # where the second one starts.
+    p = make_polygon("P", [(t, 0), (1 + t, 0), (1 + t, 1), (t, 1)])
+    q = make_polygon("Q", [("0.25", 0), ("1.25", 0), ("1.25", 1),
+                           ("0.25", 1)])
+    with pytest.raises(CoincidentSegments) as exc:
+        nesting_forest([p, q])
+    assert exc.value.x == Fraction(1, 4)
+    assert str(exc.value) == (
+        "segments of polygons 'Q' and 'P' coincide at x=1/4"
+    )
 
 
 def test_decimal_input_sweeps_on_ints(monkeypatch, small_corpus):
@@ -464,8 +495,6 @@ def _fan_in_a_cone():
     ],
 )
 def test_forest_where_local_minima_share_a_point(polygons):
-    from nestpoly import validate
-
     assert validate(polygons).ok
     forest = checked_forest(polygons)
     assert forest.parent == brute_force_forest(polygons).parent
