@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import asdict
 from typing import List, Optional
 
 from . import bench as bench_mod
@@ -106,13 +107,7 @@ def cmd_nest(args) -> int:
     elapsed = time.perf_counter_ns() - t0
     doc_stats = None
     if args.stats:
-        doc_stats = {
-            "m": stats.m,
-            "n": stats.n,
-            "N": stats.N,
-            "events": stats.events,
-            "elapsed_ns": elapsed,
-        }
+        doc_stats = {**asdict(stats), "elapsed_ns": elapsed}
     _write(args.output, serialize_forest(forest, doc_stats))
     return EXIT_OK
 
@@ -151,10 +146,17 @@ def cmd_gen(args) -> int:
     for field, value in flag_fields.items():
         if value is not None:
             kwargs[field] = value
-    if args.children_min is not None or args.children_max is not None:
-        lo = 1 if args.children_min is None else args.children_min
-        hi = 2 if args.children_max is None else args.children_max
+    # Each flag replaces its own bound of the file's pair or of (1, 2); a
+    # lone flag takes the other bound along rather than invert the pair.
+    lo, hi = args.children_min, args.children_max
+    pair = kwargs.get("children_per_node", (1, 2))
+    if lo is not None and hi is not None:
         kwargs["children_per_node"] = (lo, hi)
+    elif type(pair) in (list, tuple) and [type(b) for b in pair] == [int, int]:
+        if lo is not None:
+            kwargs["children_per_node"] = (lo, max(lo, pair[1]))
+        elif hi is not None:
+            kwargs["children_per_node"] = (min(pair[0], hi), hi)
     if args.shapes:
         kwargs["shape_mix"] = {
             name: 1 for name in args.shapes.split(",") if name

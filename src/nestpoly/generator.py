@@ -64,7 +64,9 @@ class GenConfig:
             raise ValueError("children_per_node must be 0 <= lo <= hi")
         if not 0 <= float(self.touching_prob) <= 1:
             raise ValueError("touching_prob must be in [0, 1]")
-        if not self.shape_mix or any(w < 0 for w in self.shape_mix.values()):
+        if not self.shape_mix:
+            raise ValueError("shape_mix names no shape")
+        if any(w < 0 for w in self.shape_mix.values()):
             raise ValueError("shape_mix weights must be non-negative")
         if not any(w > 0 for w in self.shape_mix.values()):
             raise ValueError("shape_mix needs a positive weight")

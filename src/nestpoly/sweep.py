@@ -29,9 +29,9 @@ class StatusEntry:
 
     cursor is the segment's current edge k, from vertex k to vertex k + 1 of
     its columns. ax, ay, dx, dy and end cache that edge: its left end, its
-    direction (dx > 0) and the abscissa of its right end. They change only
-    when advance_current_edge moves the cursor. prio, left, right and par
-    link the entry into a SweepStatus.
+    direction (dx > 0) and the abscissa of its right end. They start at edge
+    0 and change only when advance_current_edge moves the cursor. prio,
+    left, right and par link the entry into a SweepStatus.
     """
 
     __slots__ = (
@@ -39,20 +39,17 @@ class StatusEntry:
         "prio", "left", "right", "par",
     )
 
-    def __init__(self, segment: MaxSegment):
+    def __init__(self, segment: MaxSegment, prio: float):
         self.segment = segment
-        self._load(0)
-        self.prio = None
-        self.left = self.right = self.par = None
-
-    def _load(self, k: int) -> None:
-        seg = self.segment
-        self.cursor = k
-        self.ax = ax = seg.xs[k]
-        self.ay = ay = seg.ys[k]
-        self.end = bx = seg.xs[k + 1]
+        self.cursor = 0
+        xs, ys = segment.xs, segment.ys
+        self.ax = ax = xs[0]
+        self.ay = ay = ys[0]
+        self.end = bx = xs[1]
         self.dx = bx - ax
-        self.dy = seg.ys[k + 1] - ay
+        self.dy = ys[1] - ay
+        self.prio = prio
+        self.left = self.right = self.par = None
 
 
 def advance_current_edge(entry: StatusEntry, xi) -> StatusEntry:
@@ -73,7 +70,12 @@ def advance_current_edge(entry: StatusEntry, xi) -> StatusEntry:
     while cur < last and xs[cur + 1] <= xi:
         cur += 1
     if cur != entry.cursor:
-        entry._load(cur)
+        entry.cursor = cur
+        entry.ax = ax = xs[cur]
+        entry.ay = ay = seg.ys[cur]
+        entry.end = bx = xs[cur + 1]
+        entry.dx = bx - ax
+        entry.dy = seg.ys[cur + 1] - ay
     if xi < entry.ax:
         raise OutOfDomain(
             f"x={xi} precedes the current edge of a segment of polygon "
@@ -108,11 +110,6 @@ def tie_break(a: MaxSegment, adx, ady, b: MaxSegment, bdx, bdy, xi) -> int:
     raise CoincidentSegments(a.polygon_id, b.polygon_id, xi)
 
 
-def _height_num(entry: StatusEntry, xi):
-    """Height of entry's current edge at xi, times entry.dx."""
-    return entry.ay * entry.dx + (xi - entry.ax) * entry.dy
-
-
 def _after(entry: StatusEntry, hn, hd, other: StatusEntry, xi) -> bool:
     """Whether entry, of height hn / hd at xi, comes after other at xi.
 
@@ -131,50 +128,39 @@ def _after(entry: StatusEntry, hn, hd, other: StatusEntry, xi) -> bool:
     ) > 0
 
 
-def _successor(entry: StatusEntry) -> Optional[StatusEntry]:
-    cur = entry.right
-    if cur is not None:
-        while cur.left is not None:
-            cur = cur.left
-        return cur
-    cur = entry
-    while cur.par is not None and cur.par.right is cur:
-        cur = cur.par
-    return cur.par
-
-
 class SweepStatus:
     """Treap over the live segments, ordered top to bottom at the sweep x.
 
-    Insertions compare lazily at the current abscissa; deletions and
-    predecessor queries navigate by entry handle and need no comparisons,
-    so no comparison is ever made at a position where a leaving segment's
-    order could have become stale. An insert at the abscissa of the one
-    before it first tries the slot just below that entry, with at most two
-    comparisons: a polygon's chains that start at one vertex are inserted
-    one after the other, top to bottom.
+    Insertions compare lazily at the current abscissa, which must lie in
+    the inserted segment's x-extent; deletions and predecessor queries
+    navigate by entry handle and need no comparisons, so no comparison is
+    ever made where a leaving segment's order could have become stale. An
+    insert at the abscissa of the one before it first tries the slot just
+    below that entry, with at most two comparisons: a polygon's chains
+    that start at one vertex are inserted one after the other, top to bottom.
     """
 
     def __init__(self):
         self.root: Optional[StatusEntry] = None
         self.xi = None
-        self._rng = random.Random(0)
-        self._entries: Dict[int, StatusEntry] = {}
+        self._draw = random.Random(0).random
+        self._entries: Dict[MaxSegment, StatusEntry] = {}
         self._last: Optional[StatusEntry] = None
 
     def insert(self, segment: MaxSegment, xi) -> StatusEntry:
-        entry = StatusEntry(segment)
-        advance_current_edge(entry, xi)
-        entry.prio = self._rng.random()
+        entry = StatusEntry(segment, self._draw())
+        if xi >= entry.end:
+            advance_current_edge(entry, xi)
         # Height of the new entry at xi as hn / hd, hd > 0.
         hd = entry.dx
-        hn = _height_num(entry, xi)
+        hn = entry.ay * hd + (xi - entry.ax) * entry.dy
         if self.root is None:
             self.root = entry
         elif xi != self.xi or not self._link_below_last(entry, hn, hd, xi):
+            after = _after
             cur = self.root
             while True:
-                if _after(entry, hn, hd, cur, xi):
+                if after(entry, hn, hd, cur, xi):
                     if cur.right is None:
                         cur.right = entry
                         break
@@ -185,11 +171,12 @@ class SweepStatus:
                         break
                     cur = cur.left
             entry.par = cur
-        while entry.par is not None and entry.prio < entry.par.prio:
+        prio = entry.prio
+        while (par := entry.par) is not None and prio < par.prio:
             self._rotate_up(entry)
         self.xi = xi
         self._last = entry
-        self._entries[id(segment)] = entry
+        self._entries[segment] = entry
         return entry
 
     def _link_below_last(self, entry: StatusEntry, hn, hd, xi) -> bool:
@@ -197,7 +184,15 @@ class SweepStatus:
         prev = self._last
         if prev is None or not _after(entry, hn, hd, prev, xi):
             return False
-        succ = _successor(prev)
+        succ = prev.right
+        if succ is None:
+            # prev's successor: the nearest ancestor with prev on its left.
+            cur = prev
+            while (succ := cur.par) is not None and succ.right is cur:
+                cur = succ
+        else:
+            while succ.left is not None:
+                succ = succ.left
         if succ is not None and _after(entry, hn, hd, succ, xi):
             return False
         if prev.right is None:
@@ -209,17 +204,14 @@ class SweepStatus:
         return True
 
     def remove(self, segment: MaxSegment) -> None:
-        node = self._entries.pop(id(segment))
+        node = self._entries.pop(segment)
         if node is self._last:
             self._last = None
-        while node.left is not None and node.right is not None:
-            child = (
-                node.left
-                if node.left.prio < node.right.prio
-                else node.right
-            )
-            self._rotate_up(child)
-        child = node.left if node.left is not None else node.right
+        left, right = node.left, node.right
+        while left is not None and right is not None:
+            self._rotate_up(left if left.prio < right.prio else right)
+            left, right = node.left, node.right
+        child = right if left is None else left
         par = node.par
         if child is not None:
             child.par = par
@@ -239,23 +231,21 @@ class SweepStatus:
                 cur = cur.right
             return cur
         cur = entry
-        while cur.par is not None and cur.par.left is cur:
-            cur = cur.par
-        return cur.par
+        while (par := cur.par) is not None and par.left is cur:
+            cur = par
+        return par
 
     def _rotate_up(self, node: StatusEntry) -> None:
         par = node.par
         grand = par.par
         if par.left is node:
-            par.left = node.right
-            if node.right is not None:
-                node.right.par = par
+            par.left = inner = node.right
             node.right = par
         else:
-            par.right = node.left
-            if node.left is not None:
-                node.left.par = par
+            par.right = inner = node.left
             node.left = par
+        if inner is not None:
+            inner.par = par
         par.par = node
         node.par = grand
         if grand is None:
@@ -279,7 +269,8 @@ class SweepEvents:
     """One insert and one remove per segment, merged as they are read.
 
     Events come by abscissa, removes first at each one; the first insert of
-    each polygon has first=True. Each Event is made when it is read.
+    each polygon has first=True. merge() yields each as a plain tuple;
+    iterating wraps each tuple in an Event.
     """
 
     removes: List[MaxSegment]  # by right x
@@ -289,6 +280,12 @@ class SweepEvents:
         return 2 * len(self.inserts)
 
     def __iter__(self) -> Iterator[Event]:
+        for segment, x, first in self.merge():
+            kind = "remove" if first is None else "insert"
+            yield Event(kind, x, segment, bool(first))
+
+    def merge(self) -> Iterator[Tuple[MaxSegment, int, Optional[bool]]]:
+        """(segment, x, first) per event; first is None for a remove."""
         seen: Set[str] = set()
         removes = iter(self.removes)
         r = next(removes, None)
@@ -297,13 +294,13 @@ class SweepEvents:
             # Each segment ends right of its start, so the last remove
             # comes after every insert: removes cannot run out here.
             while (end := r.xs[-1]) <= x:
-                yield Event("remove", end, r)
+                yield r, end, None
                 r = next(removes)
             pid = s.polygon_id
-            yield Event("insert", x, s, pid not in seen)
+            yield s, x, pid not in seen
             seen.add(pid)
         while r is not None:
-            yield Event("remove", r.xs[-1], r)
+            yield r, r.xs[-1], None
             r = next(removes, None)
 
 
@@ -353,8 +350,7 @@ class SweepStats:
 
 
 def nesting_forest(polygons: Sequence[Polygon]) -> NestingForest:
-    forest, _ = nesting_forest_with_stats(polygons)
-    return forest
+    return nesting_forest_with_stats(polygons)[0]
 
 
 def nesting_forest_with_stats(
@@ -392,25 +388,25 @@ def nesting_forest_with_stats(
         x = unscale(exc.x, scale)
         raise CoincidentSegments(*exc.polygon_ids, x) from None
 
-    stats = SweepStats(
-        m=len(parent), n=n_vertices, N=len(segments), events=len(events)
-    )
+    stats = SweepStats(len(parent), n_vertices, len(segments), len(events))
     return NestingForest(parent), stats
 
 
 def _sweep(events: SweepEvents) -> Dict[str, Optional[str]]:
     """Run the status through the events; immediate container per polygon."""
     status = SweepStatus()
+    insert, remove = status.insert, status.remove
+    predecessor = status.predecessor
     parent: Dict[str, Optional[str]] = {}
 
-    for ev in events:
-        if ev.kind == "remove":
-            status.remove(ev.segment)
+    for segment, x, first in events.merge():
+        if first is None:
+            remove(segment)
             continue
-        entry = status.insert(ev.segment, ev.xi)
-        if ev.first:
-            pred = status.predecessor(entry)
-            pid = ev.segment.polygon_id
+        entry = insert(segment, x)
+        if first:
+            pred = predecessor(entry)
+            pid = segment.polygon_id
             if pred is None:
                 parent[pid] = None
             elif pred.segment.parity == 1:

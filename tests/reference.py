@@ -40,7 +40,6 @@ from nestpoly.sweep import (
     SweepStatus,
     _after,
     _cmp_shared_start,
-    _height_num,
     advance_current_edge,
 )
 
@@ -117,6 +116,12 @@ class Rel(enum.Enum):
     SAME = 0
 
 
+def height_num(entry: StatusEntry, xi):
+    """Height of entry's current edge at xi, times entry.dx: the height
+    formula of SweepStatus.insert."""
+    return entry.ay * entry.dx + (xi - entry.ax) * entry.dy
+
+
 def cmp_at(xi, a: MaxSegment, b: MaxSegment) -> Rel:
     """Order of two segments at abscissa xi; Before means a comes first.
 
@@ -126,9 +131,9 @@ def cmp_at(xi, a: MaxSegment, b: MaxSegment) -> Rel:
     """
     if a is b:
         return Rel.SAME
-    ea = advance_current_edge(StatusEntry(a), xi)
-    eb = advance_current_edge(StatusEntry(b), xi)
-    if _after(ea, _height_num(ea, xi), ea.dx, eb, xi):
+    ea = advance_current_edge(StatusEntry(a, 0.0), xi)
+    eb = advance_current_edge(StatusEntry(b, 0.0), xi)
+    if _after(ea, height_num(ea, xi), ea.dx, eb, xi):
         return Rel.AFTER
     return Rel.BEFORE
 
@@ -210,7 +215,7 @@ class CheckedStatus(SweepStatus):
         entries = status_order(self)
         for prev, cur in zip(entries, entries[1:]):
             advance_current_edge(cur, xi)
-            if not _after(cur, _height_num(cur, xi), cur.dx, prev, xi):
+            if not _after(cur, height_num(cur, xi), cur.dx, prev, xi):
                 raise InternalOrderViolation(
                     f"status order broken at x={xi} between polygons "
                     f"{prev.segment.polygon_id!r} and "

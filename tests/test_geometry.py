@@ -17,10 +17,10 @@ from nestpoly.errors import (
     OutOfDomain,
 )
 from nestpoly.geometry import cross
-from nestpoly.sweep import StatusEntry, _height_num, advance_current_edge
+from nestpoly.sweep import StatusEntry, advance_current_edge
 
 from conftest import segments_of
-from reference import shoelace_area, signed_area2, span_edges
+from reference import height_num, shoelace_area, signed_area2, span_edges
 
 
 def test_coord_exact_decimal():
@@ -182,9 +182,9 @@ def _upper_triangle_segment():
 
 def _height_and_slope(segment, xi):
     """The sweep's height formula and edge slope at xi, on a fresh cursor."""
-    entry = advance_current_edge(StatusEntry(segment), xi)
+    entry = advance_current_edge(StatusEntry(segment, 0.0), xi)
     return (
-        Fraction(_height_num(entry, xi)) / entry.dx,
+        Fraction(height_num(entry, xi)) / entry.dx,
         Fraction(entry.dy) / entry.dx,
     )
 

@@ -619,6 +619,63 @@ def test_cli_gen_deterministic(tmp_path):
         )))
 
 
+@pytest.mark.parametrize(
+    "config, flags, children",
+    [
+        (None, ["--children-min", "3"], (3, 3)),
+        (None, ["--children-min", "0"], (0, 2)),
+        (None, ["--children-max", "0"], (0, 0)),
+        ([2, 4], ["--children-min", "3"], (3, 4)),
+        ([2, 4], ["--children-min", "5"], (5, 5)),
+        ([2, 4], ["--children-max", "3"], (2, 3)),
+        ([2, 4], ["--children-max", "1"], (1, 1)),
+        ([3, 1], ["--children-max", "5"], (3, 5)),
+        ([2, 4], ["--children-min", "0", "--children-max", "1"], (0, 1)),
+    ],
+)
+def test_cli_gen_children_flags(tmp_path, config, flags, children):
+    # A flag replaces its own bound of the file's pair, or of (1, 2) when
+    # there is none; a lone flag takes the other bound along rather than
+    # leave the pair inverted.
+    args = ["gen", "--seed", "3", "--roots", "2", "--depth", "2"]
+    if config is not None:
+        cfg = write(tmp_path, "cfg.json", json.dumps({"children_per_node": config}))
+        args += ["--config", cfg]
+    out = tmp_path / "out.json"
+    assert main(args + flags + ["-o", str(out)]) == 0
+    assert out.read_text() == serialize_instance(generate(GenConfig(
+        seed=3, n_roots=2, max_depth=2, children_per_node=children,
+    )))
+
+
+@pytest.mark.parametrize(
+    "config, flags",
+    [
+        (None, ["--children-min", "3", "--children-max", "2"]),
+        ([2, 4], ["--children-min", "3", "--children-max", "2"]),
+        (None, ["--children-min", "-1"]),
+        ([1, "x"], ["--children-min", "3"]),
+        ([1, 2, 3], ["--children-max", "3"]),
+    ],
+)
+def test_cli_gen_children_flags_exit_2(tmp_path, capsys, config, flags):
+    args = ["gen"]
+    if config is not None:
+        cfg = write(tmp_path, "cfg.json", json.dumps({"children_per_node": config}))
+        args += ["--config", cfg]
+    assert main(args + flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid generator config: children_per_node")
+    assert err.count("\n") == 1
+
+
+def test_cli_gen_shapes_naming_no_shape(capsys):
+    assert main(["gen", "--shapes", ","]) == 2
+    assert capsys.readouterr().err == (
+        "error: invalid generator config: shape_mix names no shape\n"
+    )
+
+
 def test_cli_gen_config_file(tmp_path):
     cfg = write(
         tmp_path,

@@ -105,11 +105,19 @@ def test_build_events_matches_event_list(small_corpus):
         assert _fields(events) == expected
         assert _fields(events) == expected  # a second pass reads the same
         assert len(events) == 2 * len(segments)
+        # The sweep's plain tuples carry the same events, with first None
+        # exactly for a remove.
+        merged = [
+            ("remove" if first is None else "insert", x, s, bool(first))
+            for s, x, first in events.merge()
+        ]
+        assert merged == expected
 
 
 def test_sweep_holds_at_most_two_events():
+    # The sweep reads plain tuples, so it makes no Event at all.
     rings = [square(f"r{i:03d}", i, i, 2 * (300 - i)) for i in range(300)]
-    assert live_events_mid_sweep(rings) <= 2
+    assert live_events_mid_sweep(rings) == 0
 
 
 def test_status_predecessor_square_alone():
@@ -133,6 +141,43 @@ def test_status_predecessor_nested(nested_squares):
     assert status.predecessor(e_top_i).segment is top_o
     order = [e.segment for e in status_order(status)]
     assert order == [top_o, top_i, bot_i, bot_o]
+
+
+def test_status_priorities_are_the_seeded_draws(small_corpus):
+    import random
+
+    for polygons in small_corpus[:10]:
+        status = SweepStatus()
+        prios = []
+        for ev in build_events(all_segments(polygons)):
+            if ev.kind == "insert":
+                prios.append(status.insert(ev.segment, ev.xi).prio)
+            else:
+                status.remove(ev.segment)
+        draw = random.Random(0).random
+        assert prios == [draw() for _ in prios]
+
+
+def test_status_insert_past_the_first_edge_advances_the_cursor():
+    # The bottom chain of Z runs (0, 0) -> (4, 0) -> (4, 2) -> (6, 2); at
+    # x = 5 its current edge is (4, 2) -> (6, 2), at height 2.
+    z = make_polygon("Z", [(0, 0), (4, 0), (4, 2), (6, 2), (6, 6), (0, 6)])
+    top, bottom = top_bottom(z)
+    inner = square("I", 5, 3, 1)  # its bottom edge is at height 3
+    status = SweepStatus()
+    e_bottom = status.insert(bottom, 5)
+    assert (e_bottom.cursor, e_bottom.ax, e_bottom.ay, e_bottom.end) == (
+        2, 4, 2, 6
+    )
+    e_top = status.insert(top, 5)
+    assert e_top.cursor == 0
+    i_top, i_bottom = top_bottom(inner)
+    status.insert(i_top, 5)
+    status.insert(i_bottom, 5)
+    order = [e.segment for e in status_order(status)]
+    assert order == [top, i_top, i_bottom, bottom]
+    with pytest.raises(OutOfDomain):
+        SweepStatus().insert(bottom, 7)
 
 
 def test_status_remove_keeps_order(nested_squares):
@@ -190,7 +235,7 @@ def test_checked_forest_catches_first_segment_with_interior_above(
 def test_advance_current_edge_staircase():
     p = make_polygon("Z", [(0, 0), (4, 0), (4, 2), (6, 2), (6, 6), (0, 6)])
     bottom = next(s for s in segments_of(p) if len(s.xs) == 4)
-    entry = StatusEntry(bottom)
+    entry = StatusEntry(bottom, 0.0)
     assert (entry.ax, entry.ay, entry.end) == (0, 0, 4)
     advance_current_edge(entry, 5)
     assert (entry.ax, entry.ay, entry.end) == (4, 2, 6)
@@ -209,7 +254,7 @@ def test_advance_current_edge_postcondition(small_corpus):
     for polygons in small_corpus[:5]:
         for p in polygons:
             for s in segments_of(p):
-                entry = StatusEntry(s)
+                entry = StatusEntry(s, 0.0)
                 lo, hi = s.xs[0], s.xs[-1]
                 xs = sorted(
                     lo + Fraction(rng.randint(0, 1000), 1000) * (hi - lo)
