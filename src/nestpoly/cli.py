@@ -14,10 +14,10 @@ from typing import List, Optional
 
 from . import bench as bench_mod
 from .errors import NestpolyError, ParseError, SemanticError
-from .forest import NestingForest
 from .generator import GenConfig, generate
 from .instance_io import (
     load_json,
+    parse_forest,
     parse_instance,
     serialize_forest,
     serialize_instance,
@@ -31,51 +31,15 @@ EXIT_INVALID = 1
 EXIT_PARSE = 2
 
 
-def _read_instance(path: str):
+def _read(path: str) -> bytes:
+    """The bytes of file path, or of stdin for -."""
     try:
         if path == "-":
-            data = sys.stdin.buffer.read()
-        else:
-            with open(path, "rb") as fh:
-                data = fh.read()
+            return sys.stdin.buffer.read()
+        with open(path, "rb") as fh:
+            return fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    return parse_instance(data)
-
-
-def _read_json(path: str):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    return load_json(text)
-
-
-def _read_forest(path: str) -> NestingForest:
-    doc = _read_json(path)
-    rows = doc.get("forest") if isinstance(doc, dict) else None
-    if not isinstance(rows, list):
-        raise SemanticError('forest document must contain a "forest" array')
-    parent = {}
-    for i, row in enumerate(rows):
-        if not (
-            isinstance(row, dict)
-            and isinstance(row.get("id"), str)
-            and "parent" in row
-            and (row["parent"] is None or isinstance(row["parent"], str))
-        ):
-            raise SemanticError(
-                f'forest row #{i} needs a string "id" and a "parent" '
-                f"that is an id or null"
-            )
-        parent[row["id"]] = row["parent"]
-    for pid, par in parent.items():
-        if par is not None and par not in parent:
-            raise SemanticError(
-                f"parent {par!r} of {pid!r} is not in the forest"
-            )
-    return NestingForest(parent=parent)
 
 
 def _write(path: Optional[str], text: str) -> None:
@@ -96,7 +60,7 @@ def _report_violations(report) -> None:
 
 
 def cmd_nest(args) -> int:
-    polygons = _read_instance(args.instance)
+    polygons = parse_instance(_read(args.instance))
     if args.validate:
         report = validate(polygons)
         if not report.ok:
@@ -113,14 +77,14 @@ def cmd_nest(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    polygons = _read_instance(args.instance)
+    polygons = parse_instance(_read(args.instance))
     forest = brute_force_forest(polygons)
     _write(args.output, serialize_forest(forest))
     return EXIT_OK
 
 
 def cmd_validate(args) -> int:
-    polygons = _read_instance(args.instance)
+    polygons = parse_instance(_read(args.instance))
     report = validate(polygons)
     if report.ok:
         print(f"ok: {len(polygons)} polygons")
@@ -132,7 +96,7 @@ def cmd_validate(args) -> int:
 def cmd_gen(args) -> int:
     kwargs = {}
     if args.config:
-        loaded = _read_json(args.config)
+        loaded = load_json(_read(args.config))
         if not isinstance(loaded, dict):
             raise SemanticError("invalid generator config: not a JSON object")
         kwargs.update(loaded)
@@ -161,7 +125,6 @@ def cmd_gen(args) -> int:
         kwargs["shape_mix"] = {
             name: 1 for name in args.shapes.split(",") if name
         }
-    kwargs.setdefault("seed", 0)
     try:
         cfg = GenConfig(**kwargs)
     except (TypeError, ValueError) as exc:
@@ -172,10 +135,10 @@ def cmd_gen(args) -> int:
 
 
 def cmd_render(args) -> int:
-    polygons = _read_instance(args.instance)
+    polygons = parse_instance(_read(args.instance))
     forest = None
     if args.forest:
-        forest = _read_forest(args.forest)
+        forest = parse_forest(_read(args.forest))
         missing = [p.id for p in polygons if p.id not in forest.parent]
         if missing:
             more = f" and {len(missing) - 1} more" if len(missing) > 1 else ""

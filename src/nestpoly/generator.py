@@ -102,8 +102,6 @@ def _make_convex(rng: random.Random, box, core) -> List[Point]:
 
 def _convex_hull(pts: Sequence[Point]) -> List[Point]:
     """Monotone-chain hull, counterclockwise, no collinear vertices."""
-    if len(pts) <= 2:
-        return list(pts)
     lower: List[Point] = []
     for p in pts:
         while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
@@ -136,8 +134,6 @@ def _make_staircase(rng: random.Random, box, core) -> List[Point]:
     for p in pts[1:]:
         if p != out[-1]:
             out.append(p)
-    while len(out) > 1 and out[-1] == out[0]:
-        out.pop()
     return out
 
 
@@ -218,8 +214,6 @@ def _build_shape(rng: random.Random, shape: str, box, core):
 
 def _child_boxes(rng: random.Random, core, k: int):
     cx0, y0, cx1, ctop = core
-    if k < 1:
-        return []
     avail_w = (cx1 - GAP) - (cx0 + GAP)
     avail_h = (ctop - GAP) - y0
     if avail_w < MIN_W or avail_h < MIN_H:

@@ -14,17 +14,23 @@ import math
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .errors import InputError, ParseError, SemanticError
+from .errors import ContainmentCycle, InputError, ParseError, SemanticError
 from .forest import NestingForest
 from .geometry import Coord, Polygon, decimal_ratio, polygon_from_columns
 
 
-def load_json(text: str, object_hook=None):
-    """json.loads, raising ParseError for text that is not JSON.
-
-    That covers malformed JSON (with line and column) and arrays or objects
-    nested too deeply for the parser. object_hook goes to json.loads.
+def load_json(text, object_hook=None):
+    """json.loads of str or UTF-8 bytes, raising ParseError for bytes that
+    are not UTF-8, malformed JSON (with line and column) and arrays or
+    objects nested too deeply for the parser. object_hook goes to json.loads.
     """
+    if isinstance(text, bytes):
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(
+                f"input is not UTF-8: byte {exc.start} cannot be decoded"
+            ) from exc
     try:
         return json.loads(text, object_hook=object_hook)
     except json.JSONDecodeError as exc:
@@ -44,17 +50,9 @@ def parse_instance(text) -> List[Polygon]:
     reduced to a numerator and denominator once, with int arithmetic, so no
     Fraction is made; every column entry is then an int scaled by L.
 
-    Raises ParseError for bytes that are not UTF-8 and for text that
-    load_json rejects, and SemanticError for schema violations
-    such as duplicate ids or too few vertices.
+    Raises ParseError for input that load_json rejects, and SemanticError
+    for schema violations such as duplicate ids or too few vertices.
     """
-    if isinstance(text, bytes):
-        try:
-            text = text.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ParseError(
-                f"input is not UTF-8: byte {exc.start} cannot be decoded"
-            ) from exc
     ratios: Dict[str, Tuple[int, int]] = {}
 
     def fold(obj: dict) -> dict:
@@ -215,6 +213,44 @@ def forest_document(
     if stats is not None:
         doc["stats"] = stats
     return doc
+
+
+def parse_forest(text) -> NestingForest:
+    """Parse a forest document from str or bytes; depths and stats are not
+    read. Raises ParseError for input that load_json rejects, SemanticError
+    for a document that is no forest: a missing "forest" array, a malformed
+    row, a repeated id, a parent with no row, or a cycle of parent links.
+    """
+    doc = load_json(text)
+    rows = doc.get("forest") if isinstance(doc, dict) else None
+    if not isinstance(rows, list):
+        raise SemanticError('forest document must contain a "forest" array')
+    parent = {}
+    for i, row in enumerate(rows):
+        if not (
+            isinstance(row, dict)
+            and isinstance(row.get("id"), str)
+            and "parent" in row
+            and (row["parent"] is None or isinstance(row["parent"], str))
+        ):
+            raise SemanticError(
+                f'forest row #{i} needs a string "id" and a "parent" '
+                f"that is an id or null"
+            )
+        if row["id"] in parent:
+            raise SemanticError(f"duplicate forest id {row['id']!r}")
+        parent[row["id"]] = row["parent"]
+    for pid, par in parent.items():
+        if par is not None and par not in parent:
+            raise SemanticError(
+                f"parent {par!r} of {pid!r} is not in the forest"
+            )
+    forest = NestingForest(parent=parent)
+    try:
+        forest.depths()
+    except ContainmentCycle as exc:
+        raise SemanticError(str(exc)) from exc
+    return forest
 
 
 _FOREST_ROW = '    {\n      "id": %s,\n      "parent": %s,\n      "depth": %d\n    }'

@@ -264,6 +264,7 @@ def test_acceptance_6_metamorphic_stability():
     )
 
 
+@pytest.mark.slow
 def test_acceptance_7_complexity_trend():
     start = time.monotonic()
     sizes = [2**k for k in range(10, 17)]

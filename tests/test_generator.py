@@ -8,6 +8,7 @@ from nestpoly import (
     GenConfig,
     brute_force_forest,
     generate,
+    make_polygon,
     serialize_instance,
     transform,
     validate,
@@ -79,6 +80,8 @@ def test_config_validation():
         GenConfig(touching_prob=1.5)
     with pytest.raises(ValueError):
         GenConfig(shape_mix={"blob": 1})
+    with pytest.raises(ValueError, match="weights must be non-negative"):
+        GenConfig(shape_mix={"convex": -1, "star": 2})
 
 
 def test_config_types():
@@ -113,3 +116,8 @@ def test_transform_preserves_forest(small_corpus):
     shrunk = transform(polygons, scale=Fraction(1, 7), dx=0, dy=0)
     assert checked_forest(shrunk) == base
     assert brute_force_forest(shrunk) == base
+
+
+def test_transform_scale_zero():
+    with pytest.raises(ValueError, match="scale must be non-zero"):
+        transform([make_polygon("T", [(0, 0), (4, 0), (2, 3)])], scale=0)

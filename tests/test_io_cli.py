@@ -34,6 +34,7 @@ from nestpoly import (
 )
 from nestpoly.cli import main
 from nestpoly.forest import NestingForest
+from nestpoly.instance_io import parse_forest
 from nestpoly.render import render_svg
 
 from conftest import square
@@ -360,6 +361,50 @@ def test_serialize_forest_matches_json_dumps(stats):
     assert serialize_forest(empty) == json.dumps(
         forest_document(empty), indent=2
     ) + "\n"
+    assert parse_forest(serialize_forest(forest, stats)) == forest
+
+
+def test_parse_forest_round_trip(small_corpus):
+    for polygons in small_corpus:
+        forest = nesting_forest(polygons)
+        text = serialize_forest(forest)
+        assert parse_forest(text).parent == forest.parent
+        assert parse_forest(text.encode("utf-8")).parent == forest.parent
+
+
+NO_FOREST = 'forest document must contain a "forest" array'
+BAD_ROW = 'forest row #%d needs a string "id" and a "parent" that is an id or null'
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ([], NO_FOREST),
+        ({}, NO_FOREST),
+        ({"forest": {"id": "A"}}, NO_FOREST),
+        ({"forest": [{"id": "A"}]}, BAD_ROW % 0),
+        ({"forest": [{"id": "A", "parent": None}, {"id": 1, "parent": None}]},
+         BAD_ROW % 1),
+        ({"forest": [{"id": "A", "parent": 0}]}, BAD_ROW % 0),
+        ({"forest": [{"id": "P0", "parent": None},
+                     {"id": "P0", "parent": None}]},
+         "duplicate forest id 'P0'"),
+        ({"forest": [{"id": "A", "parent": "Z"}]},
+         "parent 'Z' of 'A' is not in the forest"),
+        ({"forest": [{"id": "A", "parent": "A"}]},
+         "parent links of 'A' form a cycle"),
+        ({"forest": [{"id": "R", "parent": None}, {"id": "A", "parent": "B"},
+                     {"id": "B", "parent": "C"}, {"id": "C", "parent": "A"}]},
+         "parent links of 'A' form a cycle"),
+    ],
+    ids=["array", "no-forest", "forest-not-list", "no-parent", "id-not-str",
+         "parent-not-str", "duplicate", "missing-parent", "self-loop",
+         "three-cycle"],
+)
+def test_parse_forest_rejects(doc, message):
+    with pytest.raises(SemanticError) as exc:
+        parse_forest(json.dumps(doc))
+    assert str(exc.value) == message
 
 
 def test_nest_builds_no_point_or_edge(monkeypatch, tmp_path, small_corpus):
@@ -548,21 +593,61 @@ def test_cli_parse_error_exit_2(tmp_path, capsys):
 
 def test_cli_inputs_not_utf8(tmp_path, capsys, monkeypatch):
     latin1 = TWO_SQUARES.replace('"O"', '"\u00d6"').encode("latin-1")
-    with pytest.raises(ParseError):
+    message = (
+        f"input is not UTF-8: byte {latin1.index(0xD6)} cannot be decoded"
+    )
+    with pytest.raises(ParseError, match=message):
         parse_instance(latin1)
+    with pytest.raises(ParseError, match=message):
+        parse_forest(latin1)
     bad = tmp_path / "latin1.json"
     bad.write_bytes(latin1)
     good = write(tmp_path, "in.json", TWO_SQUARES)
-    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(latin1)))
     for argv in (
         ["nest", "-i", str(bad)],
         ["nest", "-i", "-"],
         ["render", "-i", good, "--forest", str(bad)],
+        ["render", "-i", good, "--forest", "-"],
         ["gen", "--config", str(bad)],
+        ["gen", "--config", "-"],
     ):
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(latin1)))
         assert main(argv) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def stdin_of(monkeypatch, text):
+    monkeypatch.setattr(
+        sys, "stdin", io.TextIOWrapper(io.BytesIO(text.encode("utf-8")))
+    )
+
+
+def test_cli_every_input_reads_stdin(tmp_path, capsys, monkeypatch):
+    inst = write(tmp_path, "in.json", TWO_SQUARES)
+    forest = serialize_forest(nesting_forest(parse_instance(TWO_SQUARES)))
+    svg = render_svg(parse_instance(TWO_SQUARES), parse_forest(forest))
+    stdin_of(monkeypatch, forest)
+    assert main(["render", "-i", inst, "--forest", "-"]) == 0
+    assert capsys.readouterr().out == svg
+    stdin_of(monkeypatch, TWO_SQUARES)
+    forest_file = write(tmp_path, "f.json", forest)
+    assert main(["render", "-i", "-", "--forest", forest_file]) == 0
+    assert capsys.readouterr().out == svg
+    config = {"seed": 4, "n_roots": 2, "max_depth": 1}
+    stdin_of(monkeypatch, json.dumps(config))
+    assert main(["gen", "--config", "-"]) == 0
+    assert capsys.readouterr().out == serialize_instance(
+        generate(GenConfig(**config))
+    )
+
+
+def test_cli_stdin_read_twice_exit_2(capsys, monkeypatch):
+    # The instance takes all of stdin, so the forest reads empty input.
+    stdin_of(monkeypatch, TWO_SQUARES)
+    assert main(["render", "-i", "-", "--forest", "-"]) == 2
+    assert capsys.readouterr().err == (
+        "error: invalid JSON at line 1 column 1: Expecting value\n"
+    )
 
 
 def test_cli_output_in_missing_directory(tmp_path, capsys):
@@ -676,6 +761,23 @@ def test_cli_gen_shapes_naming_no_shape(capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--roots", "100", "--span", "100"],
+         "coordinate_span 100 too small for 100 roots"),
+        (["--depth", "3", "--children-min", "5", "--children-max", "5",
+          "--span", "200"],
+         "no room for 5 children at depth 2; increase coordinate_span"),
+    ],
+    ids=["roots", "children"],
+)
+def test_cli_gen_generation_failed_exit_1(capsys, flags, message):
+    assert main(["gen"] + flags) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
 def test_cli_gen_config_file(tmp_path):
     cfg = write(
         tmp_path,
@@ -710,12 +812,23 @@ def test_cli_render_replaces_what_xml_cannot_carry(tmp_path, pid):
 
 def test_cli_render_malformed_forest_rows(tmp_path, capsys):
     inst = write(tmp_path, "in.json", TWO_SQUARES)
-    malformed = ([{"id": "O"}], [{"parent": None}], [{"id": "O", "parent": "Z"}])
-    for rows in malformed:
-        forest = write(tmp_path, "forest.json", json.dumps({"forest": rows}))
+    malformed = (
+        {"forest": [{"id": "O"}]},
+        {"forest": [{"parent": None}]},
+        {"forest": [{"id": "O", "parent": "Z"}]},
+        {"forest": [{"id": "O", "parent": None}, {"id": "I", "parent": "O"},
+                    {"id": "O", "parent": "I"}]},
+        {"forest": [{"id": "O", "parent": "I"}, {"id": "I", "parent": "O"}]},
+        {"rows": []},
+    )
+    for doc in malformed:
+        forest = write(tmp_path, "forest.json", json.dumps(doc))
         assert main(["render", "-i", inst, "--forest", forest]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        with pytest.raises(SemanticError) as exc:
+            parse_forest(json.dumps(doc))
+        assert err == f"error: {exc.value}\n"
 
 
 def test_cli_render_forest_missing_a_polygon(tmp_path, capsys):
@@ -732,18 +845,24 @@ def test_cli_json_errors_read_alike(tmp_path, capsys, reader):
     inst = write(tmp_path, "in.json", TWO_SQUARES)
     bad = write(tmp_path, "bad.json", '{"a": 1,}')
     deep = write(tmp_path, "deep.json", "[" * 200000 + "]" * 200000)
+    not_utf8 = tmp_path / "not_utf8.json"
+    not_utf8.write_bytes(b'\xff{"a": 1}')
+    missing = str(tmp_path / "missing.json")
     argv = {
         "instance": ["nest", "-i"],
         "forest": ["render", "-i", inst, "--forest"],
         "config": ["gen", "--config"],
     }[reader]
-    assert main(argv + [bad]) == 2
-    assert capsys.readouterr().err == (
-        "error: invalid JSON at line 1 column 9: "
-        "Expecting property name enclosed in double quotes\n"
-    )
-    assert main(argv + [deep]) == 2
-    assert capsys.readouterr().err == "error: invalid JSON: nested too deeply\n"
+    for path, message in (
+        (bad, "invalid JSON at line 1 column 9: "
+              "Expecting property name enclosed in double quotes"),
+        (deep, "invalid JSON: nested too deeply"),
+        (str(not_utf8), "input is not UTF-8: byte 0 cannot be decoded"),
+        (missing, f"cannot read {missing}: [Errno 2] No such file or "
+                  f"directory: {missing!r}"),
+    ):
+        assert main(argv + [path]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize(

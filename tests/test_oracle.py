@@ -7,6 +7,7 @@ import pytest
 
 from nestpoly import (
     ContainmentCycle,
+    Edge,
     Point,
     PointLocation,
     brute_force_forest,
@@ -137,6 +138,47 @@ def test_validate_bowtie():
     report = validate([bowtie])
     assert not report.ok
     assert any(v.kind == "self_intersection" for v in report.violations)
+
+
+def test_segments_intersect_endpoint_contacts():
+    from nestpoly.oracle import _segments_intersect
+
+    def edge(a, b):
+        return Edge(Point(*a), Point(*b))
+
+    bottom = edge((4, 0), (0, 0))
+    # One endpoint of each pair lies on the other edge and no other
+    # endpoint is collinear, so exactly one of the four contact tests
+    # holds: e.a, e.b, f.a, f.b in turn.
+    for e, f in (
+        (edge((2, 0), (4, 4)), bottom),
+        (edge((4, 4), (2, 0)), bottom),
+        (bottom, edge((2, 0), (4, 4))),
+        (bottom, edge((4, 4), (2, 0))),
+    ):
+        assert _segments_intersect(e, f)
+    assert _segments_intersect(edge((0, 0), (4, 4)), edge((0, 4), (4, 0)))
+    assert not _segments_intersect(bottom, edge((2, 1), (4, 4)))
+    assert not _segments_intersect(bottom, edge((5, 0), (6, 0)))
+
+
+@pytest.mark.parametrize(
+    "vertices, witness",
+    [
+        ([(0, 0), (4, 0), (4, 4), (2, 0), (0, 4)], "edges 0 and 2 intersect"),
+        ([(2, 0), (4, 4), (4, 0), (0, 0), (0, 4)], "edges 0 and 2 intersect"),
+        ([(0, 4), (2, 0), (4, 4), (4, 0), (0, 0)], "edges 0 and 3 intersect"),
+        ([(0, 0), (4, 0), (2, 0), (2, 3)],
+         "edges 0 and 1 fold back at Point(x=4, y=0)"),
+    ],
+    ids=["end-of-later-edge", "start-of-first-edge", "end-of-first-edge",
+         "fold-back"],
+)
+def test_validate_self_intersection_witness(vertices, witness):
+    report = validate([make_polygon("X", vertices)])
+    assert [(v.kind, v.witness) for v in report.violations] == [
+        ("self_intersection", witness)
+    ]
 
 
 def test_validate_duplicate():

@@ -244,6 +244,9 @@ def test_advance_current_edge_staircase():
     assert (entry.ax, entry.ay, entry.end) == (4, 2, 6)
     with pytest.raises(OutOfDomain):
         advance_current_edge(entry, 7)
+    # The cursor does not move back to an earlier edge.
+    with pytest.raises(OutOfDomain, match="precedes the current edge"):
+        advance_current_edge(entry, 0)
 
 
 def test_advance_current_edge_postcondition(small_corpus):
