@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress
 from numbers import Rational
-from operator import and_, eq, mul
+from operator import eq, mul
 from typing import Iterable, NamedTuple, Optional, Tuple, Union
 
 from .errors import (
@@ -225,13 +225,13 @@ def polygon_from_columns(
         raise TooFewVertices(f"polygon {poly_id!r}: {n} vertices")
     next_xs = xs[1:] + xs[:1]
     next_ys = ys[1:] + ys[:1]
-    for i in compress(
-        range(n), map(and_, map(eq, xs, next_xs), map(eq, ys, next_ys))
-    ):
-        raise DuplicateConsecutiveVertex(
-            f"polygon {poly_id!r}: vertex {i} repeats at "
-            f"{unscaled_point(xs[i], ys[i], denominator)}"
-        )
+    # A repeat is a vertical edge of length 0: compare ys at those only.
+    for i in compress(range(n), map(eq, xs, next_xs)):
+        if ys[i] == next_ys[i]:
+            raise DuplicateConsecutiveVertex(
+                f"polygon {poly_id!r}: vertex {i} repeats at "
+                f"{unscaled_point(xs[i], ys[i], denominator)}"
+            )
     twice_area = _twice_area(xs, ys, next_xs, next_ys)
     # A nonzero area rules out a cycle of collinear vertices.
     if twice_area == 0:

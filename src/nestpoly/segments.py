@@ -43,7 +43,66 @@ class SegmentDecomposition:
 
 
 def decompose(polygon: Polygon) -> SegmentDecomposition:
-    """Split the boundary into maximal x-monotone segments.
+    """Split the boundary into maximal x-monotone segments, in O(n).
+
+    An x-monotone polygon whose leftmost x lies on one vertex or one
+    vertical edge, and whose rightmost x likewise, has exactly two segments:
+    the chain from its left extreme to its right extreme and the chain back.
+    Such a polygon is split there with a few C-level passes over its x
+    column; every other polygon goes to scan_runs. Both give the same
+    segments in the same order.
+    """
+    xs = polygon.xs
+    # Both counts come before any index or slice: a polygon with three or
+    # more vertices at an extreme leaves after two or four passes.
+    hi = max(xs)
+    hi_count = xs.count(hi)
+    if hi_count > 2:
+        return scan_runs(polygon)
+    lo = min(xs)
+    lo_count = xs.count(lo)
+    if lo_count > 2:
+        return scan_runs(polygon)
+    n = len(xs)
+    # The extremes as vertical edges (a0, a1) and (b0, b1) in traversal
+    # order; a lone vertex is an edge of length 0 with a0 == a1.
+    a0 = a1 = xs.index(lo)
+    if lo_count == 2:
+        if xs[a0 + 1] == lo:
+            a1 = a0 + 1
+        elif a0 == 0 and xs[-1] == lo:
+            a0 = n - 1
+        else:
+            return scan_runs(polygon)
+    b0 = b1 = xs.index(hi)
+    if hi_count == 2:
+        if xs[b0 + 1] == hi:
+            b1 = b0 + 1
+        elif b0 == 0 and xs[-1] == hi:
+            b0 = n - 1
+        else:
+            return scan_runs(polygon)
+    # The rightward chain runs from a1 to b0, the leftward one from b1 to
+    # a0; each is monotone in x or the polygon is not x-monotone.
+    rx = xs[a1:b0 + 1] if a1 <= b0 else xs[a1:] + xs[:b0 + 1]
+    if sorted(rx) != list(rx):
+        return scan_runs(polygon)
+    lx = (xs[b1:a0 + 1] if b1 <= a0 else xs[b1:] + xs[:a0 + 1])[::-1]
+    if sorted(lx) != list(lx):
+        return scan_runs(polygon)
+    ys = polygon.ys
+    ry = ys[a1:b0 + 1] if a1 <= b0 else ys[a1:] + ys[:b0 + 1]
+    ly = (ys[b1:a0 + 1] if b1 <= a0 else ys[b1:] + ys[:a0 + 1])[::-1]
+    pid = polygon.id
+    twice_area = polygon.twice_area
+    right = MaxSegment(pid, rx, ry, twice_area)
+    left = MaxSegment(pid, lx, ly, twice_area)
+    # Segments go in the order of their first edges, a1 and b1.
+    return SegmentDecomposition((right, left) if a1 < b1 else (left, right))
+
+
+def scan_runs(polygon: Polygon) -> SegmentDecomposition:
+    """decompose for any polygon: one segment per run of non-vertical edges.
 
     Runs in O(n) on the polygon's coordinate columns. Vertical edges between
     two same-direction runs are absorbed into the segment; vertical edges
@@ -51,7 +110,7 @@ def decompose(polygon: Polygon) -> SegmentDecomposition:
     segment. Around a closed cycle the non-vertical edges' dx sum to 0, so
     both x-directions occur, and the runs of a cyclic sequence of two
     directions come in even number: every boundary has an even number of
-    segments, at least two.
+    segments, at least two. Segments are ordered by their first edge.
     """
     xs, ys = polygon.xs, polygon.ys
     n = len(xs)
@@ -104,7 +163,11 @@ def assign_parities(
     segs = decomposition.segments
     xs, ys = polygon.xs, polygon.ys
     ty = max(ys)
-    tx = min(compress(xs, map(eq, ys, repeat(ty))))
+    top = ys.index(ty)
+    if ty in ys[top + 1:]:
+        tx = min(compress(xs, map(eq, ys, repeat(ty))))
+    else:
+        tx = xs[top]
     # A segment's xs is non-decreasing, so its leftmost vertex at height ty
     # is the top vertex if any of them is.
     holders = [

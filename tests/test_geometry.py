@@ -59,6 +59,39 @@ def test_make_polygon_rejects_bad_input():
         make_polygon("X", [(0, 0), (1, 1), (2, 2)])
 
 
+def test_duplicate_vertex_first_fault():
+    # A vertical edge of nonzero length is no repeat.
+    assert make_polygon("X", [(0, 0), (0, 4), (4, 4), (4, 0)]).area == 16
+    cases = [
+        # Two repeats, the first after a vertical edge: vertex 1 is named.
+        ([(0, 0), (0, 4), (0, 4), (4, 4), (4, 0), (4, 0)],
+         "vertex 1 repeats at Point(x=0, y=4)"),
+        # The wrap pair (n - 1, 0) is the only repeat.
+        ([(1, 1), (4, 0), (4, 3), (1, 1)],
+         "vertex 3 repeats at Point(x=1, y=1)"),
+    ]
+    for cycle, text in cases:
+        with pytest.raises(DuplicateConsecutiveVertex) as exc:
+            make_polygon("X", cycle)
+        assert str(exc.value) == f"polygon 'X': {text}"
+    # On random cycles with repeats, the first repeat in vertex order is
+    # named.
+    rng = random.Random(3)
+    for _ in range(2000):
+        cycle = [(rng.randint(0, 2), rng.randint(0, 2)) for _ in range(6)]
+        repeats = [
+            i for i in range(6) if cycle[i] == cycle[(i + 1) % 6]
+        ]
+        if not repeats:
+            continue
+        with pytest.raises(DuplicateConsecutiveVertex) as exc:
+            make_polygon("X", cycle)
+        i = repeats[0]
+        assert str(exc.value) == (
+            f"polygon 'X': vertex {i} repeats at {Point(*cycle[i])}"
+        )
+
+
 def test_make_polygon_coerces_and_rejects_coordinates():
     p = make_polygon("R", [("0.5", 0), (Fraction(9, 2), 0), (2, "3.0")])
     assert p.vertices == ((Fraction(1, 2), 0), (Fraction(9, 2), 0), (2, 3))

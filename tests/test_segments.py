@@ -1,17 +1,22 @@
 """Maximal x-monotone segment decomposition and interior-side parity."""
 
+import importlib.util
 import math
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from nestpoly import make_polygon
-from nestpoly.errors import OutOfDomain
+from nestpoly import (
+    generate, make_polygon, parse_instance, segments, transform
+)
+from nestpoly.errors import NestpolyError, OutOfDomain, ParityInconsistency
 from nestpoly.geometry import Edge, Point
-from nestpoly.segments import assign_parities, decompose
+from nestpoly.segments import assign_parities, decompose, scan_runs
 
-from conftest import segments_of, square, top_bottom
+from conftest import corpus_config, segments_of, square, top_bottom
 from reference import (
     _crosses_reversal,
     _near_regular_ngon,
@@ -23,6 +28,7 @@ from reference import (
     segment_edges,
     span_edges,
 )
+from test_io_cli import REJECTED_PARITIES
 
 
 def edge(ax, ay, bx, by):
@@ -188,3 +194,132 @@ def test_structural_invariants(small_corpus):
             assert sum(s.parity for s in segs) == len(segs) // 2
             for i, s in enumerate(segs):
                 assert s.parity != segs[(i + 1) % len(segs)].parity
+
+
+# The x-extreme split of decompose against the run scan ---------------------
+
+
+def _load_workloads():
+    name = "perfbench_workloads"
+    if name not in sys.modules:
+        root = Path(__file__).resolve().parents[1]
+        path = root / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location(name, path)
+        # Registered before it runs: its dataclasses look their module up.
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name].WORKLOADS
+
+
+def small_workload_polygons(name):
+    """The polygons of seeds 1-3 of a benchmark workload's small size."""
+    make_small = _load_workloads()[name].make_small
+    return [
+        p for seed in (1, 2, 3)
+        for p in parse_instance(make_small(seed).to_json())
+    ]
+
+
+def columns(decomposition):
+    return [
+        (s.polygon_id, s.xs, s.ys, s.twice_area, s.parity)
+        for s in decomposition.segments
+    ]
+
+
+@pytest.fixture
+def scanned(monkeypatch):
+    """The polygons that decompose hands to the run scan, in call order."""
+    calls = []
+
+    def counting(polygon):
+        calls.append(polygon)
+        return scan_runs(polygon)
+
+    monkeypatch.setattr(segments, "scan_runs", counting)
+    return calls
+
+
+def test_decompose_equals_run_scan():
+    polygons = []
+    for seed in range(200):
+        instance = generate(corpus_config(seed))
+        polygons += instance
+        polygons += transform(instance, scale=Fraction(1, 8))
+        polygons += transform(instance, scale=Fraction(3, 1000))
+    for name in ("convex-grid", "nested-notched", "quadtree-decimal"):
+        polygons += small_workload_polygons(name)
+    rng = random.Random(16)
+    while len(polygons) < 30000:
+        k = rng.randint(3, 8)
+        cycle = [(rng.randint(0, 5), rng.randint(0, 5)) for _ in range(k)]
+        try:
+            polygons.append(make_polygon("R", cycle))
+        except NestpolyError:
+            pass
+    for p in polygons:
+        assert columns(decompose(p)) == columns(scan_runs(p)), p
+
+
+# Cycles that decompose splits at their x-extremes, and cycles it must hand
+# to the run scan.
+SPLIT_CYCLES = {
+    "vertical edge at the min": [(2, 0), (4, 2), (2, 4), (0, 3), (0, 1)],
+    "vertical edge at the max": [(0, 2), (2, 0), (4, 1), (4, 3), (2, 4)],
+    "vertical min on the wrap edge": [(0, 3), (2, 4), (4, 2), (2, 0), (0, 1)],
+    "vertical max on the wrap edge": [(4, 3), (2, 4), (0, 2), (2, 0), (4, 1)],
+    "absorbed interior vertical": [
+        (0, 0), (4, 0), (4, 2), (6, 2), (6, 6), (0, 6)
+    ],
+    "bowtie": [(0, 0), (2, 2), (2, 0), (0, 2)],
+}
+SCANNED_CYCLES = {
+    "three collinear at the min": [(0, 0), (4, 0), (4, 4), (0, 4), (0, 2)],
+    "three collinear at the max": [(0, 0), (4, 0), (4, 2), (4, 4), (0, 4)],
+    "min at two vertices apart": [(0, 0), (3, 2), (0, 4), (2, 2)],
+    "a chain not monotone": [
+        (0, 0), (6, 0), (6, 4), (4, 4), (5, 2), (1, 3), (0, 4)
+    ],
+}
+
+
+def test_split_hand_cases(scanned):
+    for name, cycle in SPLIT_CYCLES.items():
+        p = make_polygon("P", cycle)
+        got = decompose(p)
+        assert scanned == [], name
+        assert len(got.segments) == 2, name
+        assert columns(got) == columns(scan_runs(p)), name
+    for name, cycle in SCANNED_CYCLES.items():
+        p = make_polygon("P", cycle)
+        assert columns(decompose(p)) == columns(scan_runs(p)), name
+        assert scanned == [p], name
+        scanned.clear()
+    # The min-edge case, as two chains left to right: the upper chain's
+    # first edge leaves vertex 1, the lower chain's leaves vertex 4.
+    p = make_polygon("P", SPLIT_CYCLES["vertical edge at the min"])
+    assert [(s.xs, s.ys) for s in decompose(p).segments] == [
+        ((0, 2, 4), (3, 4, 2)),
+        ((0, 2, 4), (1, 0, 2)),
+    ]
+
+
+def test_split_rejected_parities_match_scan():
+    for cycle, text in REJECTED_PARITIES:
+        p = make_polygon("P", cycle)
+        assert columns(decompose(p)) == columns(scan_runs(p))
+        with pytest.raises(ParityInconsistency) as exc:
+            assign_parities(p, decompose(p))
+        assert str(exc.value) == f"polygon 'P': {text}"
+
+
+def test_split_selection_on_workloads(scanned):
+    # x-monotone cells never reach the run scan; notched squares always do.
+    for name in ("convex-grid", "quadtree-decimal"):
+        for p in small_workload_polygons(name):
+            decompose(p)
+        assert scanned == [], name
+    notched = small_workload_polygons("nested-notched")
+    for p in notched:
+        decompose(p)
+    assert scanned == notched
