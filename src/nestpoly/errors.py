@@ -49,9 +49,10 @@ class CoincidentSegments(OverlapDetected):
 
 
 class ParityInconsistency(NestpolyError):
-    """Side-of-interior parities cannot be assigned consistently.
+    """Parities cannot be read from the boundary's orientation.
 
-    Signals a polygon that is not simple.
+    The boundary passes its topmost vertex more than once, or does not turn
+    there with the sign of its area: the polygon is not simple.
     """
 
 

@@ -121,12 +121,12 @@ class Polygon:
     """Simple polygon held as two int columns; build via make_polygon.
 
     Vertex i of the cycle is (xs[i] / denominator, ys[i] / denominator), and
-    twice_area is twice the area in the units of the columns, so
-    area == twice_area / (2 * denominator**2). The sweep reads the columns
-    and twice_area only. vertices, edges, area, x_min and x_max give the
-    polygon in input units, ints or Fractions as coord() returns them;
-    vertices and edges are built on first access and then kept. Treat a
-    Polygon as immutable.
+    twice_area is twice the signed area in the units of the columns, > 0
+    for a counter-clockwise cycle, so area == abs(twice_area) / (2 *
+    denominator**2). The sweep reads the columns and twice_area only.
+    vertices, edges, area, x_min and x_max give the polygon in input units,
+    ints or Fractions as coord() returns them; vertices and edges are built
+    on first access and then kept. Treat a Polygon as immutable.
     """
 
     id: str
@@ -162,7 +162,7 @@ class Polygon:
 
     @property
     def area(self) -> Coord:
-        return unscale(self.twice_area, 2 * self.denominator**2)
+        return unscale(abs(self.twice_area), 2 * self.denominator**2)
 
     @property
     def x_min(self) -> Coord:
@@ -241,4 +241,4 @@ def polygon_from_columns(
             dx * (y - y0) == dy * (x - x0) for x, y in zip(xs[2:], ys[2:])
         ):
             raise DegenerateAllCollinear(f"polygon {poly_id!r}: zero area")
-    return Polygon(poly_id, xs, ys, abs(twice_area), denominator)
+    return Polygon(poly_id, xs, ys, twice_area, denominator)

@@ -1,9 +1,11 @@
 """Decomposition of a polygon boundary into maximal x-monotone segments.
 
 Each segment is a boundary subpath whose non-vertical edges cover pairwise
-disjoint half-open x-intervals. Segments alternate between running above and
-below the interior; the `parity` flag is 1 when the interior lies below the
-segment and 0 when it lies above.
+disjoint half-open x-intervals. Its `parity` flag is 1 when the interior
+lies below it and 0 when it lies above. A simple polygon's interior lies
+left of a counter-clockwise boundary (twice_area > 0) and right of a
+clockwise one, so a segment whose run has x-direction `direction` (1 or -1,
+in traversal order) has parity int((direction < 0) == (twice_area > 0)).
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress, repeat
 from operator import eq, gt, lt, ne, sub
-from typing import Optional, Tuple
+from typing import Tuple
 
 from .errors import ParityInconsistency
 from .geometry import Polygon, unscaled_point
@@ -24,15 +26,15 @@ class MaxSegment:
     xs and ys are the coordinate columns of the segment's vertices, ordered
     left to right, so xs is non-decreasing; vertex k and vertex k + 1 bound
     its edge k. Its first and last edges are not vertical. The columns and
-    twice_area are its polygon's: ints over the polygon's denominator.
-    parity is assigned by assign_parities and is None before that.
+    the signed twice_area are its polygon's: ints over the polygon's
+    denominator. decompose sets parity (see the module docstring).
     """
 
     polygon_id: str
     xs: Tuple[int, ...]
     ys: Tuple[int, ...]
     twice_area: int
-    parity: Optional[int] = None
+    parity: int
 
 
 @dataclass(slots=True)
@@ -50,7 +52,8 @@ def decompose(polygon: Polygon) -> SegmentDecomposition:
     the chain from its left extreme to its right extreme and the chain back.
     Such a polygon is split there with a few C-level passes over its x
     column; every other polygon goes to scan_runs. Both give the same
-    segments in the same order.
+    segments in the same order. A leftward chain gets parity
+    int(twice_area > 0), and a rightward one the other value.
     """
     xs = polygon.xs
     # Both counts come before any index or slice: a polygon with three or
@@ -95,8 +98,9 @@ def decompose(polygon: Polygon) -> SegmentDecomposition:
     ly = (ys[b1:a0 + 1] if b1 <= a0 else ys[b1:] + ys[:a0 + 1])[::-1]
     pid = polygon.id
     twice_area = polygon.twice_area
-    right = MaxSegment(pid, rx, ry, twice_area)
-    left = MaxSegment(pid, lx, ly, twice_area)
+    ccw = int(twice_area > 0)
+    right = MaxSegment(pid, rx, ry, twice_area, 1 - ccw)
+    left = MaxSegment(pid, lx, ly, twice_area, ccw)
     # Segments go in the order of their first edges, a1 and b1.
     return SegmentDecomposition((right, left) if a1 < b1 else (left, right))
 
@@ -110,7 +114,8 @@ def scan_runs(polygon: Polygon) -> SegmentDecomposition:
     segment. Around a closed cycle the non-vertical edges' dx sum to 0, so
     both x-directions occur, and the runs of a cyclic sequence of two
     directions come in even number: every boundary has an even number of
-    segments, at least two. Segments are ordered by their first edge.
+    segments, at least two. Segments are ordered by their first edge. A
+    leftward run gets parity int(twice_area > 0), a rightward one the other.
     """
     xs, ys = polygon.xs, polygon.ys
     n = len(xs)
@@ -131,6 +136,7 @@ def scan_runs(polygon: Polygon) -> SegmentDecomposition:
 
     segments = []
     twice_area = polygon.twice_area
+    ccw = int(twice_area > 0)
     pid = polygon.id
     for r, k in enumerate(run_starts):
         first = nonvert[k]
@@ -143,79 +149,39 @@ def scan_runs(polygon: Polygon) -> SegmentDecomposition:
         else:
             sx = xs[first:] + xs[:stop - n]
             sy = ys[first:] + ys[:stop - n]
+        parity = 1 - ccw
         if turns[k] < 0:
-            sx, sy = sx[::-1], sy[::-1]
-        segments.append(MaxSegment(pid, sx, sy, twice_area))
+            sx, sy, parity = sx[::-1], sy[::-1], ccw
+        segments.append(MaxSegment(pid, sx, sy, twice_area, parity))
     return SegmentDecomposition(tuple(segments))
 
 
 def assign_parities(
     polygon: Polygon, decomposition: SegmentDecomposition
 ) -> SegmentDecomposition:
-    """Set the interior-side parity flag on every segment, in O(n).
+    """Check the orientation that decompose read the parities from, in O(n).
 
-    The segment holding the topmost vertex (ties broken by smallest x) has
-    the interior below it, parity 1. If that vertex is a terminal shared by
-    two segments, their incident edge slopes decide which of the two runs on
-    top. The remaining parities alternate along the cyclic segment order.
-    Raises ParityInconsistency when no consistent assignment exists.
+    A simple polygon's topmost vertex (ties broken by smallest x) is a strict
+    convex corner that the boundary passes once, so the boundary turns there
+    with the sign of twice_area. Raises ParityInconsistency, naming that
+    vertex, when the polygon fails this; returns decomposition otherwise.
     """
-    segs = decomposition.segments
     xs, ys = polygon.xs, polygon.ys
     ty = max(ys)
-    top = ys.index(ty)
-    if ty in ys[top + 1:]:
-        tx = min(compress(xs, map(eq, ys, repeat(ty))))
-    else:
-        tx = xs[top]
-    # A segment's xs is non-decreasing, so its leftmost vertex at height ty
-    # is the top vertex if any of them is.
-    holders = [
-        i for i, seg in enumerate(segs)
-        if ty in seg.ys and seg.xs[seg.ys.index(ty)] == tx
-    ]
-    if not holders:
+    i = ys.index(ty)
+    row_xs = ()  # xs of the top row when it holds more than one vertex
+    if ty in ys[i + 1:]:
+        row = list(compress(range(len(ys)), map(eq, ys, repeat(ty))))
+        row_xs = list(map(xs.__getitem__, row))
+        i = row[row_xs.index(min(row_xs))]
+    tx = xs[i]
+    # Cross product of the edges into and out of vertex i; index -1 wraps.
+    j = (i + 1) % len(xs)
+    turn = (tx - xs[i - 1]) * (ys[j] - ty) - (ty - ys[i - 1]) * (xs[j] - tx)
+    if row_xs.count(tx) > 1 or turn * polygon.twice_area <= 0:
         raise ParityInconsistency(
             f"polygon {polygon.id!r}: topmost vertex "
-            f"{unscaled_point(tx, ty, polygon.denominator)} lies on no segment"
-        )
-
-    seed_index = holders[0]
-    forced: Optional[int] = None
-    if len(holders) == 2:
-        i, j = holders
-        ix, iy, jx, jy = segs[i].xs, segs[i].ys, segs[j].xs, segs[j].ys
-        # Slopes of the edges at the shared terminal, compared by
-        # cross-multiplication; each dx is > 0.
-        if ix[0] == jx[0] == tx and iy[0] == jy[0] == ty:
-            lhs = (iy[1] - ty) * (jx[1] - tx)
-            rhs = (jy[1] - ty) * (ix[1] - tx)
-            above_i = lhs > rhs
-        elif ix[-1] == jx[-1] == tx and iy[-1] == jy[-1] == ty:
-            lhs = (ty - iy[-2]) * (tx - jx[-2])
-            rhs = (ty - jy[-2]) * (tx - ix[-2])
-            above_i = lhs < rhs
-        else:
-            raise ParityInconsistency(
-                f"polygon {polygon.id!r}: vertex "
-                f"{unscaled_point(tx, ty, polygon.denominator)} "
-                f"is a mixed shared terminal"
-            )
-        seed_index = i if above_i else j
-        forced = j if above_i else i
-    elif len(holders) > 2:
-        raise ParityInconsistency(
-            f"polygon {polygon.id!r}: vertex "
-            f"{unscaled_point(tx, ty, polygon.denominator)} "
-            f"lies on {len(holders)} segments"
-        )
-
-    for i, seg in enumerate(segs):
-        seg.parity = (1 + abs(i - seed_index)) % 2
-
-    if forced is not None and segs[forced].parity != 0:
-        raise ParityInconsistency(
-            f"polygon {polygon.id!r}: alternation contradicts the slope rule "
-            f"at vertex {unscaled_point(tx, ty, polygon.denominator)}"
+            f"{unscaled_point(tx, ty, polygon.denominator)} is not a convex "
+            f"corner that the boundary passes once"
         )
     return decomposition

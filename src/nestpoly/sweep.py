@@ -102,7 +102,7 @@ def tie_break(a: MaxSegment, adx, ady, b: MaxSegment, bdx, bdy, xi) -> int:
     pa, pb = a.parity, b.parity
     if pa != pb:
         return -1 if pa == 0 else 1
-    aa, ba = a.twice_area, b.twice_area
+    aa, ba = abs(a.twice_area), abs(b.twice_area)
     if aa != ba:
         if pa == 1:
             return -1 if aa > ba else 1

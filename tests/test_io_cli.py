@@ -468,11 +468,18 @@ def test_nest_builds_no_fraction(monkeypatch, tmp_path, small_corpus):
 
 REJECTED_PARITIES = [
     ([[0, 0], [4, 0], [4, 5], [4, 3], [2, 4]],
-     "topmost vertex Point(x=4, y=5) lies on no segment"),
+     "topmost vertex Point(x=4, y=5) is not a convex corner that the "
+     "boundary passes once"),
     ([[1, 0], [1, 4], [4, 0], [1, 4], [0, 0]],
-     "vertex Point(x=1, y=4) is a mixed shared terminal"),
+     "topmost vertex Point(x=1, y=4) is not a convex corner that the "
+     "boundary passes once"),
     ([[2, 4], [0, 1], [0, 4], [2, 0], [1, 4], [0, 0], [0, 4]],
-     "alternation contradicts the slope rule at vertex Point(x=0, y=4)"),
+     "topmost vertex Point(x=0, y=4) is not a convex corner that the "
+     "boundary passes once"),
+    # The bowtie of the benchmark's model-breaking instances.
+    ([[0, 0], [2, 2], [2, 0], [0, 2]],
+     "topmost vertex Point(x=0, y=2) is not a convex corner that the "
+     "boundary passes once"),
 ]
 
 
@@ -489,7 +496,10 @@ def test_witnesses_in_input_units(tmp_path, capsys):
             nesting_forest(parse_instance(doc))
         return str(exc.value)
 
-    template = "polygon 'P': vertex {} lies on 3 segments"
+    template = (
+        "polygon 'P': topmost vertex {} is not a convex corner that the "
+        "boundary passes once"
+    )
     assert message(integer) == template.format(Point(3, 4))
     assert message(decimal) == template.format(Point(Fraction(3, 2), 2))
     # The other parity rejections that a vertex cycle can reach.
@@ -497,10 +507,12 @@ def test_witnesses_in_input_units(tmp_path, capsys):
         assert message(vertices) == f"polygon 'P': {text}"
     # A model failure ends nest with exit 1 and one line.
     unparitied = {"id": "P", "vertices": REJECTED_PARITIES[0][0]}
+    bowtie = {"id": "P", "vertices": REJECTED_PARITIES[-1][0]}
     twins = [{"id": pid, "vertices": [[0, 0], [4, 0], [4, 4], [0, 4]]}
              for pid in ("A", "B")]
     for polygons, text in (
         ([unparitied], f"polygon 'P': {REJECTED_PARITIES[0][1]}"),
+        ([bowtie], f"polygon 'P': {REJECTED_PARITIES[-1][1]}"),
         (twins, "segments of polygons 'B' and 'A' coincide at x=0"),
     ):
         inst = write(tmp_path, "in.json", json.dumps({"polygons": polygons}))

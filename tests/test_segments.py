@@ -10,7 +10,13 @@ from pathlib import Path
 import pytest
 
 from nestpoly import (
-    generate, make_polygon, parse_instance, segments, transform
+    generate,
+    make_polygon,
+    nesting_forest,
+    parse_instance,
+    segments,
+    transform,
+    validate,
 )
 from nestpoly.errors import NestpolyError, OutOfDomain, ParityInconsistency
 from nestpoly.geometry import Edge, Point
@@ -24,6 +30,7 @@ from reference import (
     check_terminal_monotone,
     check_unique_cover,
     count_N,
+    parity_oracle,
     satisfies_property_O,
     segment_edges,
     span_edges,
@@ -194,6 +201,70 @@ def test_structural_invariants(small_corpus):
             assert sum(s.parity for s in segs) == len(segs) // 2
             for i, s in enumerate(segs):
                 assert s.parity != segs[(i + 1) % len(segs)].parity
+
+
+# Parity from orientation ----------------------------------------------------
+
+
+# Every corpus polygon runs counter-clockwise. A reversal or a mirror makes
+# it clockwise; a quarter turn keeps the orientation but moves the topmost
+# vertex and the x-extremes.
+CLOCKWISE = {
+    "reversed": lambda vs: vs[::-1],
+    "mirrored": lambda vs: [(-x, y) for x, y in vs],
+}
+TURNED = {"quarter turn": lambda vs: [(-y, x) for x, y in vs]}
+
+
+def test_parities_follow_orientation_under_plane_moves(
+    small_corpus, bottom_edge_pair, shared_edge_squares, vertex_touch_pair
+):
+    # The hand fixtures reach each tie-break rule. On a shared top edge the
+    # area rule alone puts the container's edge above the inner one's.
+    top_edge_pair = [
+        square("O", 0, 0, 4), make_polygon("I", [(0, 4), (2, 2), (4, 4)])
+    ]
+    fixtures = [
+        top_edge_pair, bottom_edge_pair, shared_edge_squares, vertex_touch_pair
+    ]
+    for polygons in fixtures + small_corpus:
+        expected = nesting_forest(polygons).parent
+        assert all(p.twice_area > 0 for p in polygons)
+        for name, move in {**CLOCKWISE, **TURNED}.items():
+            moved = [make_polygon(p.id, move(p.vertices)) for p in polygons]
+            assert all((p.twice_area < 0) == (name in CLOCKWISE)
+                       for p in moved), name
+            assert nesting_forest(moved).parent == expected, name
+            for p in moved:
+                for s in segments_of(p):
+                    assert s.parity == parity_oracle(p, s), (name, p.id)
+
+
+def test_random_cycles_against_validate():
+    # Every cycle that validate() accepts gets the oracle's parities; every
+    # cycle that the sweep rejects is one that validate() rejects.
+    rng = random.Random(17)
+    accepted = rejected = 0
+    for _ in range(4000):
+        k = rng.randint(3, 9)
+        cycle = [(rng.randint(0, 6), rng.randint(0, 6)) for _ in range(k)]
+        try:
+            p = make_polygon("R", cycle)
+        except NestpolyError:
+            continue
+        simple = validate([p]).ok
+        try:
+            forest = nesting_forest([p])
+        except NestpolyError:
+            assert not simple, cycle
+            rejected += 1
+            continue
+        if simple:
+            assert forest.parent == {"R": None}
+            for s in segments_of(p):
+                assert s.parity == parity_oracle(p, s), cycle
+            accepted += 1
+    assert accepted > 500 and rejected > 500
 
 
 # The x-extreme split of decompose against the run scan ---------------------
