@@ -138,6 +138,9 @@ class SweepStatus:
     insert at the abscissa of the one before it first tries the slot just
     below that entry, with at most two comparisons: a polygon's chains
     that start at one vertex are inserted one after the other, top to bottom.
+    Otherwise it descends from the root with _after's test written out.
+    Either way the new entry goes in as a leaf and rotates up in one loop; a
+    remove joins the two subtrees of its entry by priority in one loop.
     """
 
     def __init__(self):
@@ -154,13 +157,19 @@ class SweepStatus:
         # Height of the new entry at xi as hn / hd, hd > 0.
         hd = entry.dx
         hn = entry.ay * hd + (xi - entry.ax) * entry.dy
-        if self.root is None:
-            self.root = entry
-        elif xi != self.xi or not self._link_below_last(entry, hn, hd, xi):
-            after = _after
-            cur = self.root
-            while True:
-                if after(entry, hn, hd, cur, xi):
+        cur = self.root
+        if cur is not None and (
+            xi != self.xi or not self._link_below_last(entry, hn, hd, xi)
+        ):
+            while True:  # _after(entry, hn, hd, cur, xi), written out
+                if cur.end <= xi:
+                    advance_current_edge(cur, xi)
+                dx = cur.dx
+                lhs = hn * dx
+                rhs = hd * (cur.ay * dx + (xi - cur.ax) * cur.dy)
+                if lhs < rhs or lhs == rhs and tie_break(
+                    segment, hd, entry.dy, cur.segment, dx, cur.dy, xi
+                ) > 0:
                     if cur.right is None:
                         cur.right = entry
                         break
@@ -171,9 +180,29 @@ class SweepStatus:
                         break
                     cur = cur.left
             entry.par = cur
+        # Rotate the new leaf up while its priority is below its parent's.
         prio = entry.prio
-        while (par := entry.par) is not None and prio < par.prio:
-            self._rotate_up(entry)
+        par = entry.par
+        while par is not None and prio < par.prio:
+            grand = par.par
+            if par.left is entry:
+                par.left = inner = entry.right
+                entry.right = par
+            else:
+                par.right = inner = entry.left
+                entry.left = par
+            if inner is not None:
+                inner.par = par
+            par.par = entry
+            if grand is not None:
+                if grand.left is par:
+                    grand.left = entry
+                else:
+                    grand.right = entry
+            par = grand
+        entry.par = par
+        if par is None:
+            self.root = entry
         self.xi = xi
         self._last = entry
         self._entries[segment] = entry
@@ -207,20 +236,33 @@ class SweepStatus:
         node = self._entries.pop(segment)
         if node is self._last:
             self._last = None
+        # Join node's subtrees into its slot: each step hangs the root of
+        # lower priority there, and the next slot is on that root's inner side.
         left, right = node.left, node.right
-        while left is not None and right is not None:
-            self._rotate_up(left if left.prio < right.prio else right)
-            left, right = node.left, node.right
-        child = right if left is None else left
         par = node.par
-        if child is not None:
-            child.par = par
-        if par is None:
-            self.root = child
-        elif par.left is node:
-            par.left = child
-        else:
-            par.right = child
+        on_left = par is not None and par.left is node
+        while True:
+            if right is None or left is not None and left.prio < right.prio:
+                child = left
+            else:
+                child = right
+            if child is not None:
+                child.par = par
+            if par is None:
+                self.root = child
+            elif on_left:
+                par.left = child
+            else:
+                par.right = child
+            if left is None or right is None:
+                break
+            par = child
+            if child is left:
+                on_left = False
+                left = left.right
+            else:
+                on_left = True
+                right = right.left
         node.left = node.right = node.par = None
 
     def predecessor(self, entry: StatusEntry) -> Optional[StatusEntry]:
@@ -235,26 +277,6 @@ class SweepStatus:
             cur = par
         return par
 
-    def _rotate_up(self, node: StatusEntry) -> None:
-        par = node.par
-        grand = par.par
-        if par.left is node:
-            par.left = inner = node.right
-            node.right = par
-        else:
-            par.right = inner = node.left
-            node.left = par
-        if inner is not None:
-            inner.par = par
-        par.par = node
-        node.par = grand
-        if grand is None:
-            self.root = node
-        elif grand.left is par:
-            grand.left = node
-        else:
-            grand.right = node
-
 
 @dataclass(slots=True)
 class Event:
@@ -268,9 +290,9 @@ class Event:
 class SweepEvents:
     """One insert and one remove per segment, merged as they are read.
 
-    Events come by abscissa, removes first at each one; the first insert of
-    each polygon has first=True. merge() yields each as a plain tuple;
-    iterating wraps each tuple in an Event.
+    Events come by abscissa, removes first at each one. merge() yields each
+    as a plain tuple; iterating wraps each tuple in an Event, and marks the
+    first insert of each polygon with first=True.
     """
 
     removes: List[MaxSegment]  # by right x
@@ -280,13 +302,15 @@ class SweepEvents:
         return 2 * len(self.inserts)
 
     def __iter__(self) -> Iterator[Event]:
-        for segment, x, first in self.merge():
-            kind = "remove" if first is None else "insert"
-            yield Event(kind, x, segment, bool(first))
-
-    def merge(self) -> Iterator[Tuple[MaxSegment, int, Optional[bool]]]:
-        """(segment, x, first) per event; first is None for a remove."""
         seen: Set[str] = set()
+        for segment, x, inserting in self.merge():
+            pid = segment.polygon_id
+            kind = "insert" if inserting else "remove"
+            yield Event(kind, x, segment, inserting and pid not in seen)
+            seen.add(pid)
+
+    def merge(self) -> Iterator[Tuple[MaxSegment, int, bool]]:
+        """(segment, x, inserting) per event, in the order of the sweep."""
         removes = iter(self.removes)
         r = next(removes, None)
         for s in self.inserts:
@@ -294,13 +318,11 @@ class SweepEvents:
             # Each segment ends right of its start, so the last remove
             # comes after every insert: removes cannot run out here.
             while (end := r.xs[-1]) <= x:
-                yield r, end, None
+                yield r, end, False
                 r = next(removes)
-            pid = s.polygon_id
-            yield s, x, pid not in seen
-            seen.add(pid)
+            yield s, x, True
         while r is not None:
-            yield r, r.xs[-1], None
+            yield r, r.xs[-1], False
             r = next(removes, None)
 
 
@@ -399,14 +421,14 @@ def _sweep(events: SweepEvents) -> Dict[str, Optional[str]]:
     predecessor = status.predecessor
     parent: Dict[str, Optional[str]] = {}
 
-    for segment, x, first in events.merge():
-        if first is None:
+    for segment, x, inserting in events.merge():
+        if not inserting:
             remove(segment)
             continue
         entry = insert(segment, x)
-        if first:
+        pid = segment.polygon_id
+        if pid not in parent:  # the polygon's first segment
             pred = predecessor(entry)
-            pid = segment.polygon_id
             if pred is None:
                 parent[pid] = None
             elif pred.segment.parity == 1:

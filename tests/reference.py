@@ -117,8 +117,9 @@ class Rel(enum.Enum):
 
 
 def height_num(entry: StatusEntry, xi):
-    """Height of entry's current edge at xi, times entry.dx: the height
-    formula of SweepStatus.insert."""
+    """Height of entry's current edge at xi, times entry.dx: the formula
+    SweepStatus.insert uses for the new entry, and _after and the insert's
+    inline descent use for each entry they compare it with."""
     return entry.ay * entry.dx + (xi - entry.ax) * entry.dy
 
 

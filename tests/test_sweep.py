@@ -1,7 +1,9 @@
 """Event construction, sweep status, and the nesting forest itself."""
 
 import json
+import sys
 from fractions import Fraction
+from operator import eq
 
 import pytest
 
@@ -29,6 +31,7 @@ from nestpoly.sweep import (
 )
 
 from conftest import segments_of, square, top_bottom
+from test_segments import _load_workloads
 from reference import (
     CheckedStatus,
     InternalOrderViolation,
@@ -105,13 +108,13 @@ def test_build_events_matches_event_list(small_corpus):
         assert _fields(events) == expected
         assert _fields(events) == expected  # a second pass reads the same
         assert len(events) == 2 * len(segments)
-        # The sweep's plain tuples carry the same events, with first None
-        # exactly for a remove.
+        # The sweep's plain tuples carry the same events, with inserting
+        # True exactly for an insert.
         merged = [
-            ("remove" if first is None else "insert", x, s, bool(first))
-            for s, x, first in events.merge()
+            ("insert" if inserting else "remove", x, s)
+            for s, x, inserting in events.merge()
         ]
-        assert merged == expected
+        assert merged == [fields[:3] for fields in expected]
 
 
 def test_sweep_holds_at_most_two_events():
@@ -546,3 +549,113 @@ def test_forest_where_local_minima_share_a_point(polygons):
     assert validate(polygons).ok
     forest = checked_forest(polygons)
     assert forest.parent == brute_force_forest(polygons).parent
+
+
+# The root descent writes _after's height test out; these drive it where it
+# must break a height tie or move a cursor, and check it against _after.
+
+
+@pytest.mark.parametrize("name", ["convex-grid", "nested-notched",
+                                  "quadtree-decimal"])
+def test_checked_forest_on_small_workloads(name):
+    make_small = _load_workloads()[name].make_small
+    for seed in (1, 2, 3):
+        inst = make_small(seed)
+        assert checked_forest(parse_instance(inst.to_json())).parent == (
+            inst.parent
+        )
+
+
+def test_checked_forest_on_the_corpus(small_corpus):
+    for polygons in small_corpus:
+        assert checked_forest(polygons).parent == (
+            nesting_forest(polygons).parent
+        )
+
+
+@pytest.mark.parametrize(
+    "apex, far",
+    [
+        pytest.param((2, 10), [(6, 4), (6, 8)], id="apex-on-top-edge"),
+        pytest.param((2, 0), [(6, 4), (6, 2)], id="apex-on-bottom-edge"),
+    ],
+)
+def test_descent_breaks_a_height_tie(monkeypatch, apex, far):
+    # I's leftmost vertex lies on an edge of O, so I's top chain enters at
+    # O's height there, at an abscissa no earlier insert used: the descent
+    # from the root, not the finger, sends the two to tie_break.
+    polygons = [square("O", 0, 0, 10), make_polygon("I", [apex, *far])]
+    callers = []
+    original = nestpoly.sweep.tie_break
+
+    def spy(*args):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return original(*args)
+
+    monkeypatch.setattr(nestpoly.sweep, "tie_break", spy)
+    assert checked_forest(polygons).parent == {"O": None, "I": "O"}
+    assert nesting_forest(polygons).parent == {"O": None, "I": "O"}
+    assert "insert" in callers
+
+
+def test_descent_advances_the_cursor_of_an_entry_it_passes(monkeypatch):
+    # O's bottom chain steps down at x = 4: (0, 4) -> (4, 4) -> (4, 0) ->
+    # (8, 0). I enters at x = 5, where the chain's first edge, extended,
+    # runs at height 4, above I; its current edge there runs at height 0.
+    o = make_polygon("O", [(0, 4), (4, 4), (4, 0), (8, 0), (8, 10), (0, 10)])
+    i = square("I", 5, 1, 2)
+    o_top, o_bottom = top_bottom(o)
+    i_top, i_bottom = top_bottom(i)
+    status = SweepStatus()
+    status.insert(o_top, 0)
+    e_bottom = status.insert(o_bottom, 0)
+    assert e_bottom.cursor == 0
+    # At a new abscissa the finger is not tried, so _after is never called.
+    monkeypatch.setattr(nestpoly.sweep, "_after", None)
+    status.insert(i_top, 5)
+    assert (e_bottom.cursor, e_bottom.ay, e_bottom.end) == (2, 0, 8)
+    monkeypatch.undo()
+    status.insert(i_bottom, 5)
+    order = [e.segment for e in status_order(status)]
+    assert order == [o_top, i_top, i_bottom, o_bottom]
+    assert checked_forest([o, i]).parent == {"O": None, "I": "O"}
+
+
+def test_only_the_finger_calls_after(monkeypatch):
+    # The descent compares inline: _after serves the finger alone, with at
+    # most two calls for each insert at the previous insert's abscissa.
+    inst = _load_workloads()["nested-notched"].make_small(1)
+    polygons = parse_instance(inst.to_json())
+    calls = 0
+    original = nestpoly.sweep._after
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return original(*args)
+
+    monkeypatch.setattr(nestpoly.sweep, "_after", counted)
+    assert nesting_forest(polygons).parent == inst.parent
+    starts = [s.xs[0] for s in build_events(all_segments(polygons)).inserts]
+    repeats = sum(map(eq, starts[1:], starts))
+    assert 0 < calls <= 2 * repeats
+
+
+def test_treap_invariants_after_every_event(small_corpus):
+    for polygons in small_corpus:
+        status = SweepStatus()
+        live = []  # top to bottom, each insert placed by a scan with cmp_at
+        for ev in build_events(all_segments(polygons)):
+            if ev.kind == "remove":
+                status.remove(ev.segment)
+                live.remove(ev.segment)
+            else:
+                status.insert(ev.segment, ev.xi)
+                at = next(
+                    (k for k, s in enumerate(live)
+                     if cmp_at(ev.xi, ev.segment, s) is Rel.BEFORE),
+                    len(live),
+                )
+                live.insert(at, ev.segment)
+            _check_treap(status)
+            assert [e.segment for e in status_order(status)] == live
