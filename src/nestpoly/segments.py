@@ -23,18 +23,21 @@ from .geometry import Polygon, unscaled_point
 class MaxSegment:
     """Maximal x-monotone boundary segment of one polygon.
 
-    xs and ys are the coordinate columns of the segment's vertices, ordered
-    left to right, so xs is non-decreasing; vertex k and vertex k + 1 bound
-    its edge k. Its first and last edges are not vertical. The columns and
-    the signed twice_area are its polygon's: ints over the polygon's
-    denominator. decompose sets parity (see the module docstring).
+    The segment is the chain of polygon's vertices from index first, its
+    leftmost, to index last, its rightmost, in steps of 1 or -1, so xs is
+    non-decreasing along it; its first and last edges are not vertical. The
+    larger of first and last lies in [0, n) and the other may be negative:
+    Python's negative indexing carries a chain round vertex 0. polygon is
+    the Polygon that decompose was given; the columns and the signed
+    twice_area are read from it. decompose sets parity (see the module
+    docstring).
     """
 
     polygon_id: str
-    xs: Tuple[int, ...]
-    ys: Tuple[int, ...]
-    twice_area: int
+    polygon: Polygon
     parity: int
+    first: int
+    last: int
 
 
 @dataclass(slots=True)
@@ -52,8 +55,8 @@ def decompose(polygon: Polygon) -> SegmentDecomposition:
     the chain from its left extreme to its right extreme and the chain back.
     Such a polygon is split there with a few C-level passes over its x
     column; every other polygon goes to scan_runs. Both give the same
-    segments in the same order. A leftward chain gets parity
-    int(twice_area > 0), and a rightward one the other value.
+    segments, with no coordinate copied, in the same order. A leftward chain
+    gets parity int(twice_area > 0), and a rightward one the other value.
     """
     xs = polygon.xs
     # Both counts come before any index or slice: a polygon with three or
@@ -90,17 +93,14 @@ def decompose(polygon: Polygon) -> SegmentDecomposition:
     rx = xs[a1:b0 + 1] if a1 <= b0 else xs[a1:] + xs[:b0 + 1]
     if sorted(rx) != list(rx):
         return scan_runs(polygon)
-    lx = (xs[b1:a0 + 1] if b1 <= a0 else xs[b1:] + xs[:a0 + 1])[::-1]
-    if sorted(lx) != list(lx):
+    lx = xs[b1:a0 + 1] if b1 <= a0 else xs[b1:] + xs[:a0 + 1]
+    if sorted(lx, reverse=True) != list(lx):
         return scan_runs(polygon)
-    ys = polygon.ys
-    ry = ys[a1:b0 + 1] if a1 <= b0 else ys[a1:] + ys[:b0 + 1]
-    ly = (ys[b1:a0 + 1] if b1 <= a0 else ys[b1:] + ys[:a0 + 1])[::-1]
     pid = polygon.id
-    twice_area = polygon.twice_area
-    ccw = int(twice_area > 0)
-    right = MaxSegment(pid, rx, ry, twice_area, 1 - ccw)
-    left = MaxSegment(pid, lx, ly, twice_area, ccw)
+    ccw = int(polygon.twice_area > 0)
+    # A chain that passes vertex 0 starts at a negative index.
+    right = MaxSegment(pid, polygon, 1 - ccw, a1 if a1 <= b0 else a1 - n, b0)
+    left = MaxSegment(pid, polygon, ccw, a0, b1 if b1 <= a0 else b1 - n)
     # Segments go in the order of their first edges, a1 and b1.
     return SegmentDecomposition((right, left) if a1 < b1 else (left, right))
 
@@ -114,10 +114,11 @@ def scan_runs(polygon: Polygon) -> SegmentDecomposition:
     segment. Around a closed cycle the non-vertical edges' dx sum to 0, so
     both x-directions occur, and the runs of a cyclic sequence of two
     directions come in even number: every boundary has an even number of
-    segments, at least two. Segments are ordered by their first edge. A
+    segments, at least two. Segments are ordered by their first edge, and
+    take their index pairs from the runs' end vertices, with no slice. A
     leftward run gets parity int(twice_area > 0), a rightward one the other.
     """
-    xs, ys = polygon.xs, polygon.ys
+    xs = polygon.xs
     n = len(xs)
     next_xs = xs[1:] + xs[:1]
     # x-direction of edge i: 1 rightwards, -1 leftwards, 0 vertical.
@@ -135,24 +136,20 @@ def scan_runs(polygon: Polygon) -> SegmentDecomposition:
     )
 
     segments = []
-    twice_area = polygon.twice_area
-    ccw = int(twice_area > 0)
+    ccw = int(polygon.twice_area > 0)
     pid = polygon.id
     for r, k in enumerate(run_starts):
-        first = nonvert[k]
+        a = nonvert[k]
         # Python's index -1 wraps the last run round to the first.
-        last = nonvert[run_starts[(r + 1) % len(run_starts)] - 1]
-        # Vertices first .. last + 1 along the cycle.
-        stop = first + (last - first) % n + 2
-        if stop <= n:
-            sx, sy = xs[first:stop], ys[first:stop]
+        e = nonvert[run_starts[(r + 1) % len(run_starts)] - 1]
+        # Vertices a .. b = e + 1 along the cycle, as MaxSegment has them.
+        b = a + (e - a) % n + 1
+        if b >= n:
+            a, b = a - n, b - n
+        if turns[k] > 0:
+            segments.append(MaxSegment(pid, polygon, 1 - ccw, a, b))
         else:
-            sx = xs[first:] + xs[:stop - n]
-            sy = ys[first:] + ys[:stop - n]
-        parity = 1 - ccw
-        if turns[k] < 0:
-            sx, sy, parity = sx[::-1], sy[::-1], ccw
-        segments.append(MaxSegment(pid, sx, sy, twice_area, parity))
+            segments.append(MaxSegment(pid, polygon, ccw, b, a))
     return SegmentDecomposition(tuple(segments))
 
 

@@ -27,10 +27,11 @@ from .segments import MaxSegment, assign_parities, decompose
 class StatusEntry:
     """A live segment: its forward-only current-edge cursor and treap node.
 
-    cursor is the segment's current edge k, from vertex k to vertex k + 1 of
-    its columns. ax, ay, dx, dy and end cache that edge: its left end, its
-    direction (dx > 0) and the abscissa of its right end. They start at edge
-    0 and change only when advance_current_edge moves the cursor. prio,
+    cursor is the column index of the left end of the segment's current
+    edge, which runs to the next vertex of the chain (see MaxSegment). ax,
+    ay, dx, dy and end cache that edge: its left end, its direction (dx > 0)
+    and the abscissa of its right end. They start at the segment's first
+    edge and change only when advance_current_edge moves the cursor. prio,
     left, right and par link the entry into a SweepStatus.
     """
 
@@ -41,13 +42,14 @@ class StatusEntry:
 
     def __init__(self, segment: MaxSegment, prio: float):
         self.segment = segment
-        self.cursor = 0
-        xs, ys = segment.xs, segment.ys
-        self.ax = ax = xs[0]
-        self.ay = ay = ys[0]
-        self.end = bx = xs[1]
+        self.cursor = k = segment.first
+        j = k + 1 if segment.last > k else k - 1
+        xs, ys = segment.polygon.xs, segment.polygon.ys
+        self.ax = ax = xs[k]
+        self.ay = ay = ys[k]
+        self.end = bx = xs[j]
         self.dx = bx - ax
-        self.dy = ys[1] - ay
+        self.dy = ys[j] - ay
         self.prio = prio
         self.left = self.right = self.par = None
 
@@ -55,27 +57,31 @@ class StatusEntry:
 def advance_current_edge(entry: StatusEntry, xi) -> StatusEntry:
     """Move the cursor forward to the edge associated with xi.
 
-    The cursor never moves backwards; across a whole sweep each entry's
-    cursor advances at most once per edge. It passes over vertical edges,
-    which are never the last edge of a segment.
+    The cursor steps along the chain, never backwards; across a whole sweep
+    each entry's cursor advances at most once per edge. It passes over
+    vertical edges, which are never the last edge of a segment.
     """
     seg = entry.segment
-    xs = seg.xs
-    if xi > xs[-1]:
+    xs = seg.polygon.xs
+    last = seg.last
+    if xi > xs[last]:
         raise OutOfDomain(
             f"x={xi} beyond segment of polygon {seg.polygon_id!r}"
         )
-    last = len(xs) - 2
     cur = entry.cursor
-    while cur < last and xs[cur + 1] <= xi:
-        cur += 1
+    step = 1 if last > cur else -1
+    nxt = cur + step
+    while nxt != last and xs[nxt] <= xi:
+        cur = nxt
+        nxt += step
     if cur != entry.cursor:
+        ys = seg.polygon.ys
         entry.cursor = cur
         entry.ax = ax = xs[cur]
-        entry.ay = ay = seg.ys[cur]
-        entry.end = bx = xs[cur + 1]
+        entry.ay = ay = ys[cur]
+        entry.end = bx = xs[nxt]
         entry.dx = bx - ax
-        entry.dy = seg.ys[cur + 1] - ay
+        entry.dy = ys[nxt] - ay
     if xi < entry.ax:
         raise OutOfDomain(
             f"x={xi} precedes the current edge of a segment of polygon "
@@ -102,7 +108,7 @@ def tie_break(a: MaxSegment, adx, ady, b: MaxSegment, bdx, bdy, xi) -> int:
     pa, pb = a.parity, b.parity
     if pa != pb:
         return -1 if pa == 0 else 1
-    aa, ba = abs(a.twice_area), abs(b.twice_area)
+    aa, ba = abs(a.polygon.twice_area), abs(b.polygon.twice_area)
     if aa != ba:
         if pa == 1:
             return -1 if aa > ba else 1
@@ -314,23 +320,27 @@ class SweepEvents:
         removes = iter(self.removes)
         r = next(removes, None)
         for s in self.inserts:
-            x = s.xs[0]
+            x = s.polygon.xs[s.first]
             # Each segment ends right of its start, so the last remove
             # comes after every insert: removes cannot run out here.
-            while (end := r.xs[-1]) <= x:
+            while (end := r.polygon.xs[r.last]) <= x:
                 yield r, end, False
                 r = next(removes)
             yield s, x, True
         while r is not None:
-            yield r, r.xs[-1], False
+            yield r, r.polygon.xs[r.last], False
             r = next(removes, None)
 
 
 def _cmp_shared_start(a: MaxSegment, b: MaxSegment) -> int:
-    # Two segments that start at one point: their first edges decide.
-    ax, ay, bx, by = a.xs, a.ys, b.xs, b.ys
+    # Two segments that start at one point (x, y): their first edges decide.
+    i, j = a.first, b.first
+    ai = i + 1 if a.last > i else i - 1
+    bj = j + 1 if b.last > j else j - 1
+    pa, pb = a.polygon, b.polygon
+    x, y = pa.xs[i], pa.ys[i]
     return tie_break(
-        a, ax[1] - ax[0], ay[1] - ay[0], b, bx[1] - bx[0], by[1] - by[0], ax[0]
+        a, pa.xs[ai] - x, pa.ys[ai] - y, b, pb.xs[bj] - x, pb.ys[bj] - y, x
     )
 
 
@@ -339,15 +349,17 @@ _start_key = cmp_to_key(_cmp_shared_start)
 
 def build_events(segments: Sequence[MaxSegment]) -> SweepEvents:
     """The sweep's events: removes by right x, inserts by start point."""
-    removes = sorted(segments, key=lambda s: s.xs[-1])
-    # A segment inserted at x starts at x, so its height there is ys[0]:
-    # two stable sorts order the inserts by x, then top to bottom. Only runs
-    # that share a start point go to tie_break: a key for every segment
-    # would keep two new objects per segment alive, and set off a full GC.
-    inserts = sorted(segments, key=lambda s: s.ys[0], reverse=True)
-    inserts.sort(key=lambda s: s.xs[0])
-    xs = [s.xs[0] for s in inserts]
-    ys = [s.ys[0] for s in inserts]
+    removes = sorted(segments, key=lambda s: s.polygon.xs[s.last])
+    # A segment inserted at x starts there, at its first vertex's y: two
+    # stable sorts order the inserts by x, then top to bottom. Only runs that
+    # share a start point go to tie_break: a key for every segment would
+    # keep two new objects per segment alive, and set off a full GC.
+    inserts = sorted(
+        segments, key=lambda s: s.polygon.ys[s.first], reverse=True
+    )
+    inserts.sort(key=lambda s: s.polygon.xs[s.first])
+    xs = [s.polygon.xs[s.first] for s in inserts]
+    ys = [s.polygon.ys[s.first] for s in inserts]
     # i when segment i starts where segment i - 1 does; -1 ends the last run.
     same = map(and_, map(eq, xs[1:], xs), map(eq, ys[1:], ys))
     lo = hi = 0

@@ -3,11 +3,11 @@
 None of this runs in `nestpoly nest`: the shoelace area of a vertex list,
 point location by winding number, the three x-monotonicity checkers, the
 direct segment count behind each parity, an any-two-segments view of the
-sweep's vertical order, the Point/Edge views of a segment that these
-checks read, the sweep's events as one sorted list, a sweep status that
-re-checks its order after every insert (raising InternalOrderViolation),
-one that counts the events alive at the middle insert, and a
-boundary-contact test for generated polygons.
+sweep's vertical order, the coordinate and Point/Edge views of a segment
+that these checks read, the sweep's events as one sorted list, a sweep
+status that re-checks its order after every insert (raising
+InternalOrderViolation), one that counts the events alive at the middle
+insert, and a boundary-contact test for generated polygons.
 """
 
 from __future__ import annotations
@@ -63,29 +63,42 @@ def signed_area2(vertices: Sequence[Point]) -> Coord:
     return _twice_area(xs, ys, xs[1:] + xs[:1], ys[1:] + ys[:1])
 
 
-# --- Point/Edge views of a maximal segment -----------------------------------
+# --- Coordinate and Point/Edge views of a maximal segment --------------------
+
+
+def chain(segment: MaxSegment) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """(xs, ys): the coordinate columns of the segment's vertices, read from
+    its polygon's columns from index first to index last, left to right."""
+    first, last = segment.first, segment.last
+    step = 1 if last > first else -1
+    indices = range(first, last + step, step)
+    polygon = segment.polygon
+    return (
+        tuple(polygon.xs[i] for i in indices),
+        tuple(polygon.ys[i] for i in indices),
+    )
 
 
 def segment_edges(segment: MaxSegment) -> Tuple[Edge, ...]:
-    """The segment's edges left to right, each non-vertical one oriented
-    left to right."""
-    v = tuple(map(Point, segment.xs, segment.ys))
+    """The segment's edges, those of chain(segment) left to right, each
+    non-vertical one oriented left to right."""
+    v = tuple(map(Point, *chain(segment)))
     return tuple(map(Edge, v, v[1:]))
 
 
 def span_edges(segment: MaxSegment) -> Tuple[Edge, ...]:
     """The non-vertical edges; their half-open x-intervals partition
-    [xs[0], xs[-1])."""
+    [xs[0], xs[-1]) of chain(segment)."""
     return tuple(e for e in segment_edges(segment) if e.a.x != e.b.x)
 
 
 def edge_at(segment: MaxSegment, xi) -> Edge:
-    """Non-vertical edge associated with xi.
+    """Non-vertical edge associated with xi, from xs, ys = chain(segment).
 
     For xs[0] <= xi < xs[-1] this is the unique span edge whose half-open
     x-interval contains xi; at xi == xs[-1] it is the last span edge.
     """
-    xs = segment.xs
+    xs, ys = chain(segment)
     if xi < xs[0] or xi > xs[-1]:
         raise OutOfDomain(
             f"x={xi} outside [{xs[0]}, {xs[-1]}] "
@@ -93,7 +106,6 @@ def edge_at(segment: MaxSegment, xi) -> Edge:
         )
     # The last vertex at or left of xi starts a non-vertical edge.
     k = min(bisect_right(xs, xi), len(xs) - 1) - 1
-    ys = segment.ys
     return Edge(Point(xs[k], ys[k]), Point(xs[k + 1], ys[k + 1]))
 
 
@@ -151,19 +163,27 @@ def event_list(segments: Sequence[MaxSegment]) -> List[Event]:
     polygon carries first=True.
     """
 
+    def start(s: MaxSegment):
+        xs, ys = chain(s)
+        return xs[0], -ys[0]
+
+    def end(s: MaxSegment):
+        return chain(s)[0][-1]
+
     def by_start(a: MaxSegment, b: MaxSegment) -> int:
-        ka, kb = (a.xs[0], -a.ys[0]), (b.xs[0], -b.ys[0])
+        ka, kb = start(a), start(b)
         if ka != kb:
             return -1 if ka < kb else 1
         return _cmp_shared_start(a, b)
 
     events = [
-        Event("remove", s.xs[-1], s)
-        for s in sorted(segments, key=lambda s: s.xs[-1])
+        Event("remove", end(s), s) for s in sorted(segments, key=end)
     ]
     seen = set()
     for s in sorted(segments, key=cmp_to_key(by_start)):
-        events.append(Event("insert", s.xs[0], s, s.polygon_id not in seen))
+        events.append(
+            Event("insert", start(s)[0], s, s.polygon_id not in seen)
+        )
         seen.add(s.polygon_id)
     events.sort(key=attrgetter("xi"))
     return events
@@ -362,16 +382,16 @@ def count_N(
     counts itself, so the result is always >= 1. Requires xi strictly
     between the segment's x-extremes.
     """
-    if not (segment.xs[0] < xi < segment.xs[-1]):
-        raise OutOfDomain(
-            f"x={xi} not strictly inside ({segment.xs[0]}, {segment.xs[-1]})"
-        )
+    xs = chain(segment)[0]
+    if not (xs[0] < xi < xs[-1]):
+        raise OutOfDomain(f"x={xi} not strictly inside ({xs[0]}, {xs[-1]})")
     if decomposition is None:
         decomposition = decompose(polygon)
     base = y_at(segment, xi)
     count = 0
     for other in decomposition.segments:
-        if other.xs[0] <= xi < other.xs[-1] and y_at(other, xi) >= base:
+        oxs = chain(other)[0]
+        if oxs[0] <= xi < oxs[-1] and y_at(other, xi) >= base:
             count += 1
     return count
 
@@ -379,7 +399,8 @@ def count_N(
 def parity_oracle(polygon: Polygon, segment: MaxSegment) -> int:
     """Interior-side parity from first principles: parity of the number of
     same-polygon segments at or above the segment at its x-midpoint."""
-    xi = Fraction(segment.xs[0] + segment.xs[-1], 2)
+    xs = chain(segment)[0]
+    xi = Fraction(xs[0] + xs[-1], 2)
     return count_N(polygon, segment, xi) % 2
 
 

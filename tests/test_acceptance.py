@@ -33,6 +33,7 @@ from reference import (
     _random_subpath,
     check_terminal_monotone,
     check_unique_cover,
+    chain,
     checked_forest,
     cmp_at,
     count_N,
@@ -84,7 +85,8 @@ def test_acceptance_2_parity_soundness(corpus):
         for p in polygons:
             deco = assign_parities(p, decompose(p))
             for s in deco.segments:
-                lo, hi = s.xs[0], s.xs[-1]
+                xs, _ = chain(s)
+                lo, hi = xs[0], xs[-1]
                 parities = set()
                 for _ in range(5):
                     xi = lo + Fraction(rng.randint(1, 4095), 4096) * (hi - lo)
@@ -180,8 +182,8 @@ def test_acceptance_5_order_laws(corpus):
     ]
 
     def live_xi(group):
-        lo = max(s.xs[0] for s in group)
-        hi = min(s.xs[-1] for s in group)
+        lo = max(chain(s)[0][0] for s in group)
+        hi = min(chain(s)[0][-1] for s in group)
         if lo >= hi:
             return None
         return lo + Fraction(rng.randint(0, 4095), 4096) * (hi - lo)
@@ -218,8 +220,9 @@ def test_acceptance_5_order_laws(corpus):
     consistency_bad = tried = 0
     while tried < 10_000:
         a, b = rng.sample(rng.choice(instances), 2)
-        lo = max(a.xs[0], b.xs[0])
-        hi = min(a.xs[-1], b.xs[-1])
+        (axs, _), (bxs, _) = chain(a), chain(b)
+        lo = max(axs[0], bxs[0])
+        hi = min(axs[-1], bxs[-1])
         if lo >= hi:
             continue
         tried += 1

@@ -20,7 +20,13 @@ from nestpoly.geometry import cross
 from nestpoly.sweep import StatusEntry, advance_current_edge
 
 from conftest import segments_of
-from reference import height_num, shoelace_area, signed_area2, span_edges
+from reference import (
+    chain,
+    height_num,
+    shoelace_area,
+    signed_area2,
+    span_edges,
+)
 
 
 def test_coord_exact_decimal():
@@ -234,7 +240,7 @@ def _naive_eval(segment, xi):
     # Linear scan over the segment's edges, ignoring its index structure.
     for e in span_edges(segment):
         lo, hi = e.a.x, e.b.x
-        if lo <= xi < hi or (xi == segment.xs[-1] and hi == xi):
+        if lo <= xi < hi or (xi == chain(segment)[0][-1] and hi == xi):
             t = (Fraction(xi) - lo) / (hi - lo)
             slope = Fraction(e.b.y - e.a.y) / (hi - lo)
             return e.a.y + t * (e.b.y - e.a.y), slope
@@ -246,7 +252,8 @@ def test_eval_matches_naive_scan(small_corpus):
     for polygons in small_corpus[:8]:
         for p in polygons:
             for s in segments_of(p):
-                lo, hi = s.xs[0], s.xs[-1]
+                xs, _ = chain(s)
+                lo, hi = xs[0], xs[-1]
                 for _ in range(10):
                     xi = lo + Fraction(
                         rng.randint(0, 999), 1000

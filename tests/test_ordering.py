@@ -6,7 +6,7 @@ from fractions import Fraction
 from nestpoly.sweep import build_events
 
 from conftest import segments_of, square, top_bottom
-from reference import Rel, cmp_at, span_edges
+from reference import Rel, chain, cmp_at, span_edges
 
 
 def test_cmp_at_nested_squares_chain(nested_squares):
@@ -56,7 +56,7 @@ def test_insertion_cmp_shared_min_x(vertex_touch_pair):
     o, i = vertex_touch_pair
     top_o, _ = top_bottom(o)
     top_i = next(s for s in segments_of(i) if s.parity == 1)
-    assert top_o.xs[0] == top_i.xs[0] == 0
+    assert chain(top_o)[0][0] == chain(top_i)[0][0] == 0
     # Both start at x = 0; the outer top lies above and is inserted first.
     for given in ([top_o, top_i], [top_i, top_o]):
         assert _insert_order(given) == [top_o, top_i]
@@ -70,8 +70,9 @@ def _live_pairs(polygons, rng, count):
     out = []
     while len(out) < count:
         a, b = rng.sample(segs, 2)
-        lo = max(a.xs[0], b.xs[0])
-        hi = min(a.xs[-1], b.xs[-1])
+        (axs, _), (bxs, _) = chain(a), chain(b)
+        lo = max(axs[0], bxs[0])
+        hi = min(axs[-1], bxs[-1])
         if lo >= hi:
             continue
         xi = lo + Fraction(rng.randint(0, 999), 1000) * (hi - lo)
@@ -95,8 +96,8 @@ def test_cmp_at_transitive(small_corpus):
     done = 0
     while done < 300:
         a, b, c = rng.sample(segs, 3)
-        lo = max(s.xs[0] for s in (a, b, c))
-        hi = min(s.xs[-1] for s in (a, b, c))
+        lo = max(chain(s)[0][0] for s in (a, b, c))
+        hi = min(chain(s)[0][-1] for s in (a, b, c))
         if lo >= hi:
             continue
         xi = lo + Fraction(rng.randint(0, 999), 1000) * (hi - lo)
@@ -116,8 +117,9 @@ def test_cmp_at_xi_consistency(small_corpus):
     rng = random.Random(31)
     polygons = small_corpus[2]
     for _, a, b in _live_pairs(polygons, rng, 200):
-        lo = max(a.xs[0], b.xs[0])
-        hi = min(a.xs[-1], b.xs[-1])
+        (axs, _), (bxs, _) = chain(a), chain(b)
+        lo = max(axs[0], bxs[0])
+        hi = min(axs[-1], bxs[-1])
         answers = set()
         for _ in range(10):
             xi = lo + Fraction(rng.randint(0, 999), 1000) * (hi - lo)
@@ -132,8 +134,10 @@ def test_slope_tiebreak_matches_below(small_corpus):
     segs = [s for p in small_corpus[3] for s in segments_of(p)]
     checked = 0
     for a in segs:
+        axs, ays = chain(a)
         for b in segs:
-            if a is b or (a.xs[0], a.ys[0]) != (b.xs[0], b.ys[0]):
+            bxs, bys = chain(b)
+            if a is b or (axs[0], ays[0]) != (bxs[0], bys[0]):
                 continue
             (ea0, ea1), (eb0, eb1) = span_edges(a)[0], span_edges(b)[0]
             lhs = (ea1.y - ea0.y) * (eb1.x - eb0.x)
@@ -143,8 +147,8 @@ def test_slope_tiebreak_matches_below(small_corpus):
             want = Rel.AFTER if lhs < rhs else Rel.BEFORE
             # At the shared start the slope rule decides; at the midpoint
             # of the common x-extent the heights do.
-            mid = Fraction(a.xs[0] + min(a.xs[-1], b.xs[-1]), 2)
-            assert cmp_at(a.xs[0], a, b) is want
+            mid = Fraction(axs[0] + min(axs[-1], bxs[-1]), 2)
+            assert cmp_at(axs[0], a, b) is want
             assert cmp_at(mid, a, b) is want
             checked += 1
     assert checked

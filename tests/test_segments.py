@@ -1,9 +1,11 @@
 """Maximal x-monotone segment decomposition and interior-side parity."""
 
+import gc
 import importlib.util
 import math
 import random
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -28,6 +30,7 @@ from reference import (
     _near_regular_ngon,
     _random_subpath,
     check_terminal_monotone,
+    chain,
     check_unique_cover,
     count_N,
     parity_oracle,
@@ -68,7 +71,7 @@ def test_decompose_triangle():
     p = make_polygon("T", [(0, 0), (4, 0), (2, 3)])
     d = decompose(p)
     assert len(d.segments) == 2
-    sizes = sorted(len(s.xs) - 1 for s in d.segments)
+    sizes = sorted(len(chain(s)[0]) - 1 for s in d.segments)
     assert sizes == [1, 2]
     assert connector_edges(p, d) == []
 
@@ -77,12 +80,11 @@ def test_decompose_staircase_absorbs_interior_vertical():
     p = make_polygon("Z", [(0, 0), (4, 0), (4, 2), (6, 2), (6, 6), (0, 6)])
     d = decompose(p)
     assert len(d.segments) == 2
-    bottom = next(s for s in d.segments if len(s.xs) == 4)
+    bottom = next(s for s in d.segments if len(chain(s)[0]) == 4)
     assert [e.is_vertical for e in segment_edges(bottom)] == [False, True, False]
-    assert (bottom.xs[0], bottom.ys[0], bottom.xs[-1], bottom.ys[-1]) == (
-        0, 0, 6, 2
-    )
-    top = next(s for s in d.segments if len(s.xs) == 2)
+    bxs, bys = chain(bottom)
+    assert (bxs[0], bys[0], bxs[-1], bys[-1]) == (0, 0, 6, 2)
+    top = next(s for s in d.segments if len(chain(s)[0]) == 2)
     top_edge = segment_edges(top)[0]
     assert top_edge == edge(0, 6, 6, 6) or top_edge == edge(6, 6, 0, 6)
     connectors = sorted(connector_edges(p, d))
@@ -125,14 +127,14 @@ def test_checker_triple_agreement_on_random_subpaths(small_corpus):
 def test_parities_square():
     p = make_polygon("S", [(0, 0), (4, 0), (4, 4), (0, 4)])
     top, bottom = top_bottom(p)
-    assert top.parity == 1 and top.ys[0] == 4
-    assert bottom.parity == 0 and bottom.ys[0] == 0
+    assert top.parity == 1 and chain(top)[1][0] == 4
+    assert bottom.parity == 0 and chain(bottom)[1][0] == 0
 
 
 def test_parities_triangle():
     p = make_polygon("T", [(0, 0), (4, 0), (2, 3)])
-    upper = next(s for s in segments_of(p) if len(s.xs) == 3)
-    base = next(s for s in segments_of(p) if len(s.xs) == 2)
+    upper = next(s for s in segments_of(p) if len(chain(s)[0]) == 3)
+    base = next(s for s in segments_of(p) if len(chain(s)[0]) == 2)
     assert upper.parity == 1
     assert base.parity == 0
 
@@ -152,7 +154,8 @@ def test_count_N_parity_constant(small_corpus):
         for p in polygons:
             d = assign_parities(p, decompose(p))
             for s in d.segments:
-                lo, hi = s.xs[0], s.xs[-1]
+                xs, _ = chain(s)
+                lo, hi = xs[0], xs[-1]
                 seen = set()
                 for _ in range(3):
                     xi = lo + Fraction(rng.randint(1, 999), 1000) * (hi - lo)
@@ -189,14 +192,16 @@ def test_structural_invariants(small_corpus):
                 assert frozenset([e.a, e.b]) in seen
             # Distinct segments meet in at most 2 points, only terminals.
             for i, a in enumerate(segs):
-                va = set(zip(a.xs, a.ys))
+                axs, ays = chain(a)
+                va = set(zip(axs, ays))
                 for b in segs[i + 1:]:
-                    vb = set(zip(b.xs, b.ys))
+                    bxs, bys = chain(b)
+                    vb = set(zip(bxs, bys))
                     common = va & vb
                     assert len(common) <= 2
                     for v in common:
-                        assert v in ((a.xs[0], a.ys[0]), (a.xs[-1], a.ys[-1]))
-                        assert v in ((b.xs[0], b.ys[0]), (b.xs[-1], b.ys[-1]))
+                        assert v in ((axs[0], ays[0]), (axs[-1], ays[-1]))
+                        assert v in ((bxs[0], bys[0]), (bxs[-1], bys[-1]))
             assign_parities(p, d)
             assert sum(s.parity for s in segs) == len(segs) // 2
             for i, s in enumerate(segs):
@@ -293,7 +298,7 @@ def small_workload_polygons(name):
 
 def columns(decomposition):
     return [
-        (s.polygon_id, s.xs, s.ys, s.twice_area, s.parity)
+        (s.polygon_id, s.polygon, s.first, s.last, s.parity)
         for s in decomposition.segments
     ]
 
@@ -369,10 +374,96 @@ def test_split_hand_cases(scanned):
     # The min-edge case, as two chains left to right: the upper chain's
     # first edge leaves vertex 1, the lower chain's leaves vertex 4.
     p = make_polygon("P", SPLIT_CYCLES["vertical edge at the min"])
-    assert [(s.xs, s.ys) for s in decompose(p).segments] == [
+    assert [chain(s) for s in decompose(p).segments] == [
         ((0, 2, 4), (3, 4, 2)),
         ((0, 2, 4), (1, 0, 2)),
     ]
+
+
+# Index pairs that pass vertex 0 ----------------------------------------------
+
+
+# An x-monotone decagon with a vertical edge on each chain, started at three
+# of its vertices, and the cycle above that is not x-monotone, started at
+# two: (first, last, parity) of each segment in decompose's order. A
+# negative first is a rightward chain that passes vertex 0, a negative last
+# a leftward one.
+DECAGON = [
+    (0, 3), (1, 1), (3, 1), (3, 0), (5, 1), (6, 3), (5, 5), (3, 6), (3, 5),
+    (1, 5),
+]
+NOT_MONOTONE = SCANNED_CYCLES["a chain not monotone"]
+WRAPPED_SPLITS = {
+    "rightward chain passes vertex 0": (
+        DECAGON[3:] + DECAGON[:3], [(7, 2, 1), (-3, 2, 0)]
+    ),
+    "leftward chain passes vertex 0": (
+        DECAGON[7:] + DECAGON[:7], [(3, 8, 0), (3, -2, 1)]
+    ),
+    "leftward chain ends at vertex 0": (DECAGON, [(0, 5, 0), (0, -5, 1)]),
+}
+WRAPPED_SCANS = {
+    "rightward run passes vertex 0": (
+        NOT_MONOTONE[1:] + NOT_MONOTONE[:1],
+        [(2, 1, 1), (2, 3, 0), (5, 3, 1), (-1, 0, 0)],
+    ),
+    "leftward run passes vertex 0": (
+        NOT_MONOTONE[5:] + NOT_MONOTONE[:5],
+        [(2, 3, 0), (5, 4, 1), (5, 6, 0), (1, -1, 1)],
+    ),
+}
+
+
+def test_index_pairs_that_pass_vertex_0(scanned):
+    # Every start vertex gives the same chains, read off the same columns.
+    decagon_chains = sorted([
+        ((0, 1, 3, 3, 5, 6), (3, 1, 1, 0, 1, 3)),
+        ((0, 1, 3, 3, 5, 6), (3, 5, 5, 6, 5, 3)),
+    ])
+    scan_chains = sorted([
+        ((0, 6), (0, 0)), ((4, 6), (4, 4)), ((4, 5), (4, 2)),
+        ((0, 1, 5), (4, 3, 2)),
+    ])
+    for name, (cycle, want) in {**WRAPPED_SPLITS, **WRAPPED_SCANS}.items():
+        p = make_polygon("P", cycle)
+        got = decompose(p)
+        pairs = [(s.first, s.last, s.parity) for s in got.segments]
+        assert pairs == want, name
+        assert columns(scan_runs(p)) == columns(got), name
+        split = name in WRAPPED_SPLITS
+        assert scanned == ([] if split else [p]), name
+        scanned.clear()
+        chains = sorted(chain(s) for s in got.segments)
+        assert chains == (decagon_chains if split else scan_chains), name
+
+
+def test_segments_refer_to_their_polygon_without_copies():
+    # A segment holds its polygon and two indices into its columns. On the
+    # notched squares, one edge per segment, segments that copied their
+    # chain's two columns kept 238 bytes each on CPython 3.11; these keep
+    # 127.
+    make_small = _load_workloads()["nested-notched"].make_small
+    polygons = parse_instance(make_small(1).to_json())
+    for p in polygons:
+        assert all(s.polygon is p for s in decompose(p).segments)
+    kept = [None] * len(polygons)
+    # A full collection also empties CPython's free lists, so that every
+    # object decompose keeps is a new allocation.
+    gc.collect()
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for i, p in enumerate(polygons):
+            kept[i] = decompose(p)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    n_segments = sum(len(d.segments) for d in kept)
+    assert n_segments == 8 * len(polygons)
+    assert retained / n_segments < 150
 
 
 def test_split_rejected_parities_match_scan():

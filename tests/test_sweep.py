@@ -31,11 +31,12 @@ from nestpoly.sweep import (
 )
 
 from conftest import segments_of, square, top_bottom
-from test_segments import _load_workloads
+from test_segments import WRAPPED_SCANS, WRAPPED_SPLITS, _load_workloads
 from reference import (
     CheckedStatus,
     InternalOrderViolation,
     Rel,
+    chain,
     checked_forest,
     cmp_at,
     event_list,
@@ -169,11 +170,13 @@ def test_status_insert_past_the_first_edge_advances_the_cursor():
     inner = square("I", 5, 3, 1)  # its bottom edge is at height 3
     status = SweepStatus()
     e_bottom = status.insert(bottom, 5)
-    assert (e_bottom.cursor, e_bottom.ax, e_bottom.ay, e_bottom.end) == (
-        2, 4, 2, 6
-    )
+    # The cursor's position along the chain: edges passed since the first.
+    assert (
+        abs(e_bottom.cursor - bottom.first), e_bottom.ax, e_bottom.ay,
+        e_bottom.end,
+    ) == (2, 4, 2, 6)
     e_top = status.insert(top, 5)
-    assert e_top.cursor == 0
+    assert abs(e_top.cursor - top.first) == 0
     i_top, i_bottom = top_bottom(inner)
     status.insert(i_top, 5)
     status.insert(i_bottom, 5)
@@ -237,7 +240,7 @@ def test_checked_forest_catches_first_segment_with_interior_above(
 
 def test_advance_current_edge_staircase():
     p = make_polygon("Z", [(0, 0), (4, 0), (4, 2), (6, 2), (6, 6), (0, 6)])
-    bottom = next(s for s in segments_of(p) if len(s.xs) == 4)
+    bottom = next(s for s in segments_of(p) if len(chain(s)[0]) == 4)
     entry = StatusEntry(bottom, 0.0)
     assert (entry.ax, entry.ay, entry.end) == (0, 0, 4)
     advance_current_edge(entry, 5)
@@ -261,7 +264,8 @@ def test_advance_current_edge_postcondition(small_corpus):
         for p in polygons:
             for s in segments_of(p):
                 entry = StatusEntry(s, 0.0)
-                lo, hi = s.xs[0], s.xs[-1]
+                cxs, cys = chain(s)
+                lo, hi = cxs[0], cxs[-1]
                 xs = sorted(
                     lo + Fraction(rng.randint(0, 1000), 1000) * (hi - lo)
                     for _ in range(5)
@@ -271,10 +275,51 @@ def test_advance_current_edge_postcondition(small_corpus):
                     if xi == hi:
                         # The last edge, which is not vertical.
                         assert (entry.ax, entry.ay, entry.end) == (
-                            s.xs[-2], s.ys[-2], s.xs[-1]
+                            cxs[-2], cys[-2], cxs[-1]
                         )
                     else:
                         assert entry.ax <= xi < entry.end
+
+
+def test_cursor_walks_chains_that_pass_vertex_0():
+    # Both steps, +1 and -1, along chains that pass vertex 0 and chains
+    # that do not; the decagon's chains also pass over a vertical edge.
+    shapes = set()
+    for cycle, _ in (*WRAPPED_SPLITS.values(), *WRAPPED_SCANS.values()):
+        for s in segments_of(make_polygon("P", cycle)):
+            # (step is +1, passes vertex 0)
+            shapes.add((s.last > s.first, min(s.first, s.last) < 0))
+            xs, ys = chain(s)
+            entry = StatusEntry(s, 0.0)
+            for k in range(len(xs) - 1):
+                if xs[k] == xs[k + 1]:
+                    continue  # a vertical edge, which the cursor passes over
+                want = (
+                    xs[k], ys[k], xs[k + 1] - xs[k], ys[k + 1] - ys[k],
+                    xs[k + 1],
+                )
+                for xi in (xs[k], Fraction(xs[k] + xs[k + 1], 2)):
+                    advance_current_edge(entry, xi)
+                    edge = (entry.ax, entry.ay, entry.dx, entry.dy, entry.end)
+                    assert edge == want, (s, xi)
+            # The right end keeps the last edge.
+            advance_current_edge(entry, xs[-1])
+            assert (entry.ax, entry.ay, entry.dx, entry.dy, entry.end) == want
+            for fresh in (False, True):
+                if fresh:
+                    entry = StatusEntry(s, 0.0)
+                with pytest.raises(
+                    OutOfDomain, match=f"x={xs[-1] + 1} beyond segment of "
+                    f"polygon 'P'"
+                ):
+                    advance_current_edge(entry, xs[-1] + 1)
+                with pytest.raises(
+                    OutOfDomain, match=f"x={xs[0] - 1} precedes the current "
+                    f"edge of a segment of polygon 'P'"
+                ):
+                    advance_current_edge(entry, xs[0] - 1)
+    both = (True, False)
+    assert shapes == {(step_up, wraps) for step_up in both for wraps in both}
 
 
 def test_forest_nested(nested_squares):
@@ -391,7 +436,7 @@ def test_decimal_input_sweeps_on_ints(monkeypatch, small_corpus):
     assert any(p.denominator > 1 for p in polygons)
     nesting_forest(polygons)
     assert received
-    coords = [c for s in received for c in s.xs + s.ys]
+    coords = [c for s in received for col in chain(s) for c in col]
     assert all(type(c) is int for c in coords)
 
 
@@ -609,11 +654,13 @@ def test_descent_advances_the_cursor_of_an_entry_it_passes(monkeypatch):
     status = SweepStatus()
     status.insert(o_top, 0)
     e_bottom = status.insert(o_bottom, 0)
-    assert e_bottom.cursor == 0
+    assert abs(e_bottom.cursor - o_bottom.first) == 0
     # At a new abscissa the finger is not tried, so _after is never called.
     monkeypatch.setattr(nestpoly.sweep, "_after", None)
     status.insert(i_top, 5)
-    assert (e_bottom.cursor, e_bottom.ay, e_bottom.end) == (2, 0, 8)
+    assert (
+        abs(e_bottom.cursor - o_bottom.first), e_bottom.ay, e_bottom.end
+    ) == (2, 0, 8)
     monkeypatch.undo()
     status.insert(i_bottom, 5)
     order = [e.segment for e in status_order(status)]
@@ -636,7 +683,8 @@ def test_only_the_finger_calls_after(monkeypatch):
 
     monkeypatch.setattr(nestpoly.sweep, "_after", counted)
     assert nesting_forest(polygons).parent == inst.parent
-    starts = [s.xs[0] for s in build_events(all_segments(polygons)).inserts]
+    inserts = build_events(all_segments(polygons)).inserts
+    starts = [chain(s)[0][0] for s in inserts]
     repeats = sum(map(eq, starts[1:], starts))
     assert 0 < calls <= 2 * repeats
 
