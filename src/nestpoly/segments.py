@@ -98,7 +98,7 @@ def decompose(polygon: Polygon) -> SegmentDecomposition:
         return scan_runs(polygon)
     pid = polygon.id
     ccw = int(polygon.twice_area > 0)
-    # A chain that passes vertex 0 starts at a negative index.
+    # A chain that passes vertex 0 takes its lower index below 0.
     right = MaxSegment(pid, polygon, 1 - ccw, a1 if a1 <= b0 else a1 - n, b0)
     left = MaxSegment(pid, polygon, ccw, a0, b1 if b1 <= a0 else b1 - n)
     # Segments go in the order of their first edges, a1 and b1.
