@@ -127,7 +127,7 @@ def cmd_gen(args) -> int:
         }
     try:
         cfg = GenConfig(**kwargs)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SemanticError(f"invalid generator config: {exc}") from exc
     polygons = generate(cfg)
     _write(args.output, serialize_instance(polygons))

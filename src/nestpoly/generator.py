@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import cmp_to_key
-from math import isqrt
+from math import fsum, isfinite, isqrt
 from numbers import Real
 from typing import Dict, List, Sequence, Tuple
 
@@ -43,10 +43,12 @@ class GenConfig:
             _require_int(name, getattr(self, name))
         if not isinstance(self.seed, (int, str)):
             raise TypeError("seed must be an integer or a string")
-        if not isinstance(self.touching_prob, Real):
+        if not _is_number(self.touching_prob):
             raise TypeError("touching_prob must be a number")
         if not isinstance(self.shape_mix, dict):
             raise TypeError("shape_mix must be an object of shape weights")
+        if not all(map(_is_number, self.shape_mix.values())):
+            raise TypeError("shape_mix weights must be numbers")
         if (
             not isinstance(self.children_per_node, (list, tuple))
             or len(self.children_per_node) != 2
@@ -70,6 +72,8 @@ class GenConfig:
             raise ValueError("shape_mix weights must be non-negative")
         if not any(w > 0 for w in self.shape_mix.values()):
             raise ValueError("shape_mix needs a positive weight")
+        if not isfinite(fsum(self.shape_mix.values())):
+            raise ValueError("shape_mix weights must have a finite sum")
         if set(self.shape_mix) - {"convex", "staircase", "star"}:
             raise ValueError("unknown shape in shape_mix")
 
@@ -77,6 +81,10 @@ class GenConfig:
 def _require_int(name: str, value) -> None:
     if not isinstance(value, int) or isinstance(value, bool):
         raise TypeError(f"{name} must be an integer")
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, Real) and not isinstance(value, bool)
 
 
 def _core(box):
@@ -89,12 +97,7 @@ def _core(box):
 def _make_convex(rng: random.Random, box, core) -> List[Point]:
     x0, y0, x1, y1 = box
     cx0, _, cx1, ctop = core
-    pts = {
-        Point(cx0, y0),
-        Point(cx1, y0),
-        Point(cx0, ctop),
-        Point(cx1, ctop),
-    }
+    pts = {Point(cx0, y0), Point(cx1, y0), Point(cx0, ctop), Point(cx1, ctop)}
     for _ in range(rng.randint(3, 8)):
         pts.add(Point(rng.randint(x0, x1), rng.randint(y0, y1)))
     return _convex_hull(sorted(pts))
@@ -147,11 +150,7 @@ def _half_cmp(u: Point, v: Point) -> int:
     if hu != hv:
         return -1 if hu < hv else 1
     c = u.x * v.y - u.y * v.x
-    if c > 0:
-        return -1
-    if c < 0:
-        return 1
-    return 0
+    return (c < 0) - (c > 0)
 
 
 def _star_child_core(box, core):
@@ -173,18 +172,11 @@ def _make_star(rng: random.Random, box, core) -> List[Point]:
     x0, y0, x1, y1 = box
     cx0, _, cx1, cy = _star_child_core(box, core)
     cx = (cx0 + cx1) // 2
-    pinned = [
-        Point(cx0, y0),
-        Point(cx1, y0),
-        Point(cx1, cy),
-        Point(cx0, cy),
+    pinned = [Point(cx0, y0), Point(cx1, y0), Point(cx1, cy), Point(cx0, cy)]
+    samples = [
+        Point(rng.randint(x0, x1), rng.randint(cy + 1, y1))
+        for _ in range(rng.randint(4, 10) if cy + 1 <= y1 else 0)
     ]
-    samples = []
-    if cy + 1 <= y1:
-        for _ in range(rng.randint(4, 10)):
-            samples.append(
-                Point(rng.randint(x0, x1), rng.randint(cy + 1, y1))
-            )
     dirs: List[Tuple[Point, Point]] = [
         (Point(p.x - cx, p.y - cy), p) for p in pinned + samples
     ]
@@ -254,7 +246,7 @@ class _Generator:
             x0 = c * (cell_w + GAP)
             y0 = r * (cell_h + GAP)
             box = self._jitter((x0, y0, x0 + cell_w - 1, y0 + cell_h - 1))
-            self._place(box, depth=0)
+            self._place(box)
         return self.polygons
 
     def _jitter(self, box):
@@ -264,30 +256,36 @@ class _Generator:
         dy = rng.randint(0, max(0, min((y1 - y0 - MIN_H) // 4, 8)))
         return (x0 + dx, y0 + dy, x1, y1)
 
-    def _place(self, box, depth: int):
+    def _place(self, root_box):
+        """Place a root polygon and its descendants, depth first."""
         cfg, rng = self.cfg, self.rng
-        core = _core(box)
-        shape = rng.choices(self.shapes, weights=self.weights)[0]
-        verts, core = _build_shape(rng, shape, box, core)
-        self.polygons.append(make_polygon(f"P{len(self.polygons)}", verts))
+        # (box, depth) of the polygons still to place, the next one last. A
+        # child draws its touch when popped: the draws of a recursion, in its
+        # order, but with no limit on depth.
+        stack = [(root_box, 0)]
+        while stack:
+            box, depth = stack.pop()
+            if depth and rng.random() >= float(cfg.touching_prob):
+                x0, y0, x1, y1 = box
+                box = (x0, y0 + GAP, x1, y1)
+            core = _core(box)
+            shape = rng.choices(self.shapes, weights=self.weights)[0]
+            verts, core = _build_shape(rng, shape, box, core)
+            self.polygons.append(make_polygon(f"P{len(self.polygons)}", verts))
 
-        if depth >= cfg.max_depth:
-            return
-        lo, hi = cfg.children_per_node
-        k = rng.randint(lo, hi)
-        if k == 0:
-            return
-        boxes = _child_boxes(rng, core, k)
-        if boxes is None:
-            raise GenerationFailed(
-                f"no room for {k} children at depth {depth + 1}; "
-                f"increase coordinate_span"
-            )
-        for bx0, by0, bx1, by1 in boxes:
-            touch = rng.random() < float(cfg.touching_prob)
-            if not touch:
-                by0 += GAP
-            self._place((bx0, by0, bx1, by1), depth + 1)
+            if depth >= cfg.max_depth:
+                continue
+            lo, hi = cfg.children_per_node
+            k = rng.randint(lo, hi)
+            if k == 0:
+                continue
+            boxes = _child_boxes(rng, core, k)
+            if boxes is None:
+                raise GenerationFailed(
+                    f"no room for {k} children at depth {depth + 1}; "
+                    f"increase coordinate_span"
+                )
+            stack.extend((b, depth + 1) for b in reversed(boxes))
 
 
 def generate(cfg: GenConfig) -> List[Polygon]:

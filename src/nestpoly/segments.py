@@ -1,11 +1,9 @@
 """Decomposition of a polygon boundary into maximal x-monotone segments.
 
 Each segment is a boundary subpath whose non-vertical edges cover pairwise
-disjoint half-open x-intervals. Its `parity` flag is 1 when the interior
-lies below it and 0 when it lies above. A simple polygon's interior lies
-left of a counter-clockwise boundary (twice_area > 0) and right of a
-clockwise one, so a segment whose run has x-direction `direction` (1 or -1,
-in traversal order) has parity int((direction < 0) == (twice_area > 0)).
+disjoint half-open x-intervals. A segment holds its polygon and the index
+range of its chain, nothing else: its `parity` (1 when the interior lies
+below it, 0 when above) and its polygon id are read from those.
 """
 
 from __future__ import annotations
@@ -28,16 +26,26 @@ class MaxSegment:
     non-decreasing along it; its first and last edges are not vertical. The
     larger of first and last lies in [0, n) and the other may be negative:
     Python's negative indexing carries a chain round vertex 0. polygon is
-    the Polygon that decompose was given; the columns and the signed
-    twice_area are read from it. decompose sets parity (see the module
-    docstring).
+    the Polygon that decompose was given; the columns, the id and the signed
+    twice_area are read from it.
     """
 
-    polygon_id: str
     polygon: Polygon
-    parity: int
     first: int
     last: int
+
+    @property
+    def parity(self) -> bool:
+        """1 (True) when the interior lies below the segment, 0 (False) above.
+
+        The interior lies left of a counter-clockwise boundary (twice_area >
+        0) and right of a clockwise one; a leftward chain has last < first.
+        """
+        return (self.last < self.first) == (self.polygon.twice_area > 0)
+
+    @property
+    def polygon_id(self) -> str:
+        return self.polygon.id
 
 
 @dataclass(slots=True)
@@ -55,8 +63,7 @@ def decompose(polygon: Polygon) -> SegmentDecomposition:
     the chain from its left extreme to its right extreme and the chain back.
     Such a polygon is split there with a few C-level passes over its x
     column; every other polygon goes to scan_runs. Both give the same
-    segments, with no coordinate copied, in the same order. A leftward chain
-    gets parity int(twice_area > 0), and a rightward one the other value.
+    segments, with no coordinate copied, in the same order.
     """
     xs = polygon.xs
     # Both counts come before any index or slice: a polygon with three or
@@ -96,11 +103,9 @@ def decompose(polygon: Polygon) -> SegmentDecomposition:
     lx = xs[b1:a0 + 1] if b1 <= a0 else xs[b1:] + xs[:a0 + 1]
     if sorted(lx, reverse=True) != list(lx):
         return scan_runs(polygon)
-    pid = polygon.id
-    ccw = int(polygon.twice_area > 0)
     # A chain that passes vertex 0 takes its lower index below 0.
-    right = MaxSegment(pid, polygon, 1 - ccw, a1 if a1 <= b0 else a1 - n, b0)
-    left = MaxSegment(pid, polygon, ccw, a0, b1 if b1 <= a0 else b1 - n)
+    right = MaxSegment(polygon, a1 if a1 <= b0 else a1 - n, b0)
+    left = MaxSegment(polygon, a0, b1 if b1 <= a0 else b1 - n)
     # Segments go in the order of their first edges, a1 and b1.
     return SegmentDecomposition((right, left) if a1 < b1 else (left, right))
 
@@ -115,8 +120,7 @@ def scan_runs(polygon: Polygon) -> SegmentDecomposition:
     both x-directions occur, and the runs of a cyclic sequence of two
     directions come in even number: every boundary has an even number of
     segments, at least two. Segments are ordered by their first edge, and
-    take their index pairs from the runs' end vertices, with no slice. A
-    leftward run gets parity int(twice_area > 0), a rightward one the other.
+    take their index pairs from the runs' end vertices, with no slice.
     """
     xs = polygon.xs
     n = len(xs)
@@ -136,8 +140,6 @@ def scan_runs(polygon: Polygon) -> SegmentDecomposition:
     )
 
     segments = []
-    ccw = int(polygon.twice_area > 0)
-    pid = polygon.id
     for r, k in enumerate(run_starts):
         a = nonvert[k]
         # Python's index -1 wraps the last run round to the first.
@@ -147,9 +149,9 @@ def scan_runs(polygon: Polygon) -> SegmentDecomposition:
         if b >= n:
             a, b = a - n, b - n
         if turns[k] > 0:
-            segments.append(MaxSegment(pid, polygon, 1 - ccw, a, b))
+            segments.append(MaxSegment(polygon, a, b))
         else:
-            segments.append(MaxSegment(pid, polygon, ccw, b, a))
+            segments.append(MaxSegment(polygon, b, a))
     return SegmentDecomposition(tuple(segments))
 
 

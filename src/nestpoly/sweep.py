@@ -66,7 +66,7 @@ def advance_current_edge(entry: StatusEntry, xi) -> StatusEntry:
     last = seg.last
     if xi > xs[last]:
         raise OutOfDomain(
-            f"x={xi} beyond segment of polygon {seg.polygon_id!r}"
+            f"x={xi} beyond segment of polygon {seg.polygon.id!r}"
         )
     cur = entry.cursor
     step = 1 if last > cur else -1
@@ -85,7 +85,7 @@ def advance_current_edge(entry: StatusEntry, xi) -> StatusEntry:
     if xi < entry.ax:
         raise OutOfDomain(
             f"x={xi} precedes the current edge of a segment of polygon "
-            f"{seg.polygon_id!r}"
+            f"{seg.polygon.id!r}"
         )
     return entry
 
@@ -113,7 +113,7 @@ def tie_break(a: MaxSegment, adx, ady, b: MaxSegment, bdx, bdy, xi) -> int:
         if pa == 1:
             return -1 if aa > ba else 1
         return -1 if aa < ba else 1
-    raise CoincidentSegments(a.polygon_id, b.polygon_id, xi)
+    raise CoincidentSegments(a.polygon.id, b.polygon.id, xi)
 
 
 def _after(entry: StatusEntry, hn, hd, other: StatusEntry, xi) -> bool:
@@ -438,13 +438,13 @@ def _sweep(events: SweepEvents) -> Dict[str, Optional[str]]:
             remove(segment)
             continue
         entry = insert(segment, x)
-        pid = segment.polygon_id
+        pid = segment.polygon.id
         if pid not in parent:  # the polygon's first segment
             pred = predecessor(entry)
             if pred is None:
                 parent[pid] = None
             elif pred.segment.parity == 1:
-                parent[pid] = pred.segment.polygon_id
+                parent[pid] = pred.segment.polygon.id
             else:
-                parent[pid] = parent[pred.segment.polygon_id]
+                parent[pid] = parent[pred.segment.polygon.id]
     return parent

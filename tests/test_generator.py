@@ -82,6 +82,14 @@ def test_config_validation():
         GenConfig(shape_mix={"blob": 1})
     with pytest.raises(ValueError, match="weights must be non-negative"):
         GenConfig(shape_mix={"convex": -1, "star": 2})
+    # random.choices raises on a total that is not finite.
+    inf, nan = float("inf"), float("nan")
+    for weights in ({"convex": inf}, {"convex": 1, "star": nan}):
+        with pytest.raises(ValueError, match="weights must have a finite sum$"):
+            GenConfig(shape_mix=weights)
+    for weights in ({"convex": 10**400}, {"convex": 1e308, "star": 1e308}):
+        with pytest.raises(OverflowError):
+            GenConfig(shape_mix=weights)
 
 
 def test_config_types():
@@ -99,6 +107,14 @@ def test_config_types():
         {"shape_mix": [("convex", 1)]},
     ):
         with pytest.raises(TypeError):
+            GenConfig(**bad)
+    # bool is an int subclass, and a weight that is a string fails < 0.
+    for bad, message in (
+        ({"touching_prob": True}, "touching_prob must be a number"),
+        ({"shape_mix": {"convex": True}}, "shape_mix weights must be numbers"),
+        ({"shape_mix": {"convex": "2"}}, "shape_mix weights must be numbers"),
+    ):
+        with pytest.raises(TypeError, match=f"^{message}$"):
             GenConfig(**bad)
 
 

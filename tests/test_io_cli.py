@@ -790,6 +790,21 @@ def test_cli_gen_generation_failed_exit_1(capsys, flags, message):
     assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
 
+def test_cli_gen_deeper_than_the_recursion_limit(tmp_path):
+    # One child per polygon, 1200 levels: placement keeps its own stack.
+    out = tmp_path / "deep.json"
+    forest = tmp_path / "forest.json"
+    assert main([
+        "gen", "--roots", "1", "--depth", "1200", "--children-min", "1",
+        "--children-max", "1", "--shapes", "convex", "--span",
+        str(10**400), "-o", str(out),
+    ]) == 0
+    assert len(parse_instance(out.read_text())) == 1201
+    assert main(["nest", "-i", str(out), "-o", str(forest)]) == 0
+    rows = json.loads(forest.read_text())["forest"]
+    assert max(row["depth"] for row in rows) == 1200
+
+
 def test_cli_gen_config_file(tmp_path):
     cfg = write(
         tmp_path,
@@ -908,6 +923,12 @@ def test_cli_render_beyond_float_range(tmp_path, capsys, vertices, message):
         {"coordinate_span": 1e9},
         {"seed": [1]},
         {"touching_prob": "0.5"},
+        {"touching_prob": True},
+        {"shape_mix": {"convex": True}},
+        {"shape_mix": {"convex": "2"}},
+        {"shape_mix": {"convex": float("inf")}},
+        {"shape_mix": {"convex": 1, "star": float("nan")}},
+        {"shape_mix": {"convex": 1e308, "star": 1e308}},
         {"shape_mix": "convex"},
         {"shape_mix": {"convex": 0}},
         [1, 2],

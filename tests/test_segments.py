@@ -22,7 +22,12 @@ from nestpoly import (
 )
 from nestpoly.errors import NestpolyError, OutOfDomain, ParityInconsistency
 from nestpoly.geometry import Edge, Point
-from nestpoly.segments import assign_parities, decompose, scan_runs
+from nestpoly.segments import (
+    MaxSegment,
+    assign_parities,
+    decompose,
+    scan_runs,
+)
 
 from conftest import corpus_config, segments_of, square, top_bottom
 from reference import (
@@ -438,10 +443,12 @@ def test_index_pairs_that_pass_vertex_0(scanned):
 
 
 def test_segments_refer_to_their_polygon_without_copies():
-    # A segment holds its polygon and two indices into its columns. On the
-    # notched squares, one edge per segment, segments that copied their
-    # chain's two columns kept 238 bytes each on CPython 3.11; these keep
-    # 127.
+    # A segment holds its polygon and two indices into its columns, and
+    # reads its parity and polygon id from them. On the notched squares,
+    # one edge per segment, segments that copied their chain's two columns
+    # kept 238 bytes each on CPython 3.11, segments that also stored parity
+    # and polygon id kept 127, and these keep 111.
+    assert MaxSegment.__slots__ == ("polygon", "first", "last")
     make_small = _load_workloads()["nested-notched"].make_small
     polygons = parse_instance(make_small(1).to_json())
     for p in polygons:
@@ -463,7 +470,7 @@ def test_segments_refer_to_their_polygon_without_copies():
             tracemalloc.stop()
     n_segments = sum(len(d.segments) for d in kept)
     assert n_segments == 8 * len(polygons)
-    assert retained / n_segments < 150
+    assert retained / n_segments < 120
 
 
 def test_split_rejected_parities_match_scan():

@@ -23,6 +23,8 @@ from nestpoly import (
     validate,
 )
 from nestpoly.errors import CoincidentSegments, OutOfDomain
+from nestpoly.geometry import Polygon
+from nestpoly.segments import decompose
 from nestpoly.sweep import (
     StatusEntry,
     SweepStatus,
@@ -222,10 +224,13 @@ def test_checked_forest_catches_first_segment_with_interior_above(
     assign = nestpoly.sweep.assign_parities
 
     def flipped(polygon, decomposition):
-        decomposition = assign(polygon, decomposition)
-        for s in decomposition.segments:
-            s.parity ^= 1
-        return decomposition
+        assign(polygon, decomposition)
+        # Segments over a copy of opposite orientation: every parity flips.
+        copy = Polygon(
+            polygon.id, polygon.xs, polygon.ys, -polygon.twice_area,
+            polygon.denominator,
+        )
+        return decompose(copy)
 
     monkeypatch.setattr(nestpoly.sweep, "assign_parities", flipped)
     with pytest.raises(
