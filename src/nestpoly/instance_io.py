@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -20,9 +21,9 @@ from .geometry import Coord, Polygon, decimal_ratio, polygon_from_columns
 
 
 def load_json(text, object_hook=None):
-    """json.loads of str or UTF-8 bytes, raising ParseError for bytes that
-    are not UTF-8, malformed JSON (with line and column) and arrays or
-    objects nested too deeply for the parser. object_hook goes to json.loads.
+    """json.loads of str or UTF-8 bytes. Raises ParseError for bytes that
+    are not UTF-8, malformed JSON (with line and column), an integer too
+    long for int() or nesting too deep; object_hook goes to json.loads.
     """
     if isinstance(text, bytes):
         try:
@@ -37,6 +38,9 @@ def load_json(text, object_hook=None):
         raise ParseError(
             f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError:  # int() refuses a literal this long
+        most = sys.get_int_max_str_digits()
+        raise ParseError(f"invalid JSON: integer over {most} digits") from None
     except RecursionError:
         raise ParseError("invalid JSON: nested too deeply") from None
 

@@ -2,8 +2,8 @@
 
 Each segment is a boundary subpath whose non-vertical edges cover pairwise
 disjoint half-open x-intervals. A segment holds its polygon and the index
-range of its chain, nothing else: its `parity` (1 when the interior lies
-below it, 0 when above) and its polygon id are read from those.
+range of its chain, nothing else: its `side` (whose sign tells whether the
+interior lies above or below it) and its polygon id are read from those.
 """
 
 from __future__ import annotations
@@ -35,13 +35,14 @@ class MaxSegment:
     last: int
 
     @property
-    def parity(self) -> bool:
-        """1 (True) when the interior lies below the segment, 0 (False) above.
+    def side(self):
+        """twice_area for a rightward chain, -twice_area for a leftward one.
 
         The interior lies left of a counter-clockwise boundary (twice_area >
-        0) and right of a clockwise one; a leftward chain has last < first.
+        0), so above the segment when side > 0, below (parity 1) when < 0.
         """
-        return (self.last < self.first) == (self.polygon.twice_area > 0)
+        t = self.polygon.twice_area
+        return t if self.last > self.first else -t
 
     @property
     def polygon_id(self) -> str:
@@ -158,7 +159,7 @@ def scan_runs(polygon: Polygon) -> SegmentDecomposition:
 def assign_parities(
     polygon: Polygon, decomposition: SegmentDecomposition
 ) -> SegmentDecomposition:
-    """Check the orientation that decompose read the parities from, in O(n).
+    """Check the orientation that MaxSegment.side reads, in O(n).
 
     A simple polygon's topmost vertex (ties broken by smallest x) is a strict
     convex corner that the boundary passes once, so the boundary turns there

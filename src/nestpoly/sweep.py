@@ -1,11 +1,11 @@
 """Sweep-line construction of the nesting forest.
 
 Segments enter the status structure at their left x-extreme and leave at
-their right one. When the entering segment is the first of its polygon, its
-predecessor in the status (the segment immediately above) determines the
-polygon's immediate container. The status is a treap whose order is fixed
-lazily by comparisons at the current abscissa; relative order of co-resident
-segments never changes, so stored order stays valid as the sweep advances.
+their right one. When the entering segment is the first of its polygon, the
+live segment immediately above it determines the polygon's immediate
+container. The status is a treap whose order is fixed lazily by comparisons
+at the current abscissa; relative order of co-resident segments never
+changes, so stored order stays valid as the sweep advances.
 """
 
 from __future__ import annotations
@@ -32,12 +32,13 @@ class StatusEntry:
     ay, dx, dy and end cache that edge: its left end, its direction (dx > 0)
     and the abscissa of its right end. They start at the segment's first
     edge and change only when advance_current_edge moves the cursor. prio,
-    left, right and par link the entry into a SweepStatus.
+    left, right and par link the entry into a SweepStatus's treap; up and
+    down thread the live entries in status order, top to bottom.
     """
 
     __slots__ = (
         "segment", "cursor", "ax", "ay", "dx", "dy", "end",
-        "prio", "left", "right", "par",
+        "prio", "left", "right", "par", "up", "down",
     )
 
     def __init__(self, segment: MaxSegment, prio: float):
@@ -51,7 +52,7 @@ class StatusEntry:
         self.dx = bx - ax
         self.dy = ys[j] - ay
         self.prio = prio
-        self.left = self.right = self.par = None
+        self.left = self.right = self.par = self.up = self.down = None
 
 
 def advance_current_edge(entry: StatusEntry, xi) -> StatusEntry:
@@ -95,9 +96,9 @@ def tie_break(a: MaxSegment, adx, ady, b: MaxSegment, bdx, bdy, xi) -> int:
 
     (adx, ady) and (bdx, bdy) are the directions of their edges at xi, with
     adx, bdx > 0. The steeper edge runs above just right of xi and comes
-    first; then the segment with interior above it (parity 0); then area:
-    the larger polygon first when both interiors lie below, the smaller
-    first when both lie above.
+    first; then the positive side (interior above) first; then the smaller
+    side first, which puts the smaller of two polygons on its interior's
+    side of the larger.
     Returns -1 when a comes first, +1 otherwise; raises CoincidentSegments,
     an OverlapDetected, on a complete tie.
     """
@@ -105,22 +106,19 @@ def tie_break(a: MaxSegment, adx, ady, b: MaxSegment, bdx, bdy, xi) -> int:
     rhs = bdy * adx
     if lhs != rhs:
         return -1 if lhs > rhs else 1
-    pa, pb = a.parity, b.parity
-    if pa != pb:
-        return -1 if pa == 0 else 1
-    aa, ba = abs(a.polygon.twice_area), abs(b.polygon.twice_area)
-    if aa != ba:
-        if pa == 1:
-            return -1 if aa > ba else 1
-        return -1 if aa < ba else 1
+    sa, sb = a.side, b.side
+    if (sa > 0) != (sb > 0):
+        return -1 if sa > 0 else 1
+    if sa != sb:
+        return -1 if sa < sb else 1
     raise CoincidentSegments(a.polygon.id, b.polygon.id, xi)
 
 
 def _after(entry: StatusEntry, hn, hd, other: StatusEntry, xi) -> bool:
     """Whether entry, of height hn / hd at xi, comes after other at xi.
 
-    This is the one vertical order of live segments: the higher one comes
-    first, and equal heights go to tie_break.
+    The higher one comes first, and equal heights go to tie_break; the
+    descent in SweepStatus.insert writes this test out.
     """
     if other.end <= xi:
         advance_current_edge(other, xi)
@@ -138,15 +136,16 @@ class SweepStatus:
     """Treap over the live segments, ordered top to bottom at the sweep x.
 
     Insertions compare lazily at the current abscissa, which must lie in
-    the inserted segment's x-extent; deletions and predecessor queries
-    navigate by entry handle and need no comparisons, so no comparison is
-    ever made where a leaving segment's order could have become stale. An
-    insert at the abscissa of the one before it first tries the slot just
-    below that entry, with at most two comparisons: a polygon's chains
-    that start at one vertex are inserted one after the other, top to bottom.
-    Otherwise it descends from the root with _after's test written out.
-    Either way the new entry goes in as a leaf and rotates up in one loop; a
-    remove joins the two subtrees of its entry by priority in one loop.
+    the inserted segment's x-extent; deletions navigate by entry handle and
+    need no comparisons, so no comparison is ever made where a leaving
+    segment's order could have become stale. An insert at the abscissa of
+    the one before it first tries the slot just below that entry, with at
+    most two comparisons: a polygon's chains that start at one vertex are
+    inserted one after the other, top to bottom. Otherwise it descends from
+    the root with _after's test written out. Either way the new entry goes
+    in as a leaf, threaded by up and down between the entries next to its
+    slot, and rotates up in one loop, which keeps the order; a remove
+    unlinks its entry and joins its two subtrees by priority in one loop.
     """
 
     def __init__(self):
@@ -158,7 +157,7 @@ class SweepStatus:
 
     def insert(self, segment: MaxSegment, xi) -> StatusEntry:
         entry = StatusEntry(segment, self._draw())
-        if xi >= entry.end:
+        if xi != entry.ax:
             advance_current_edge(entry, xi)
         # Height of the new entry at xi as hn / hd, hd > 0.
         hd = entry.dx
@@ -178,14 +177,20 @@ class SweepStatus:
                 ) > 0:
                     if cur.right is None:
                         cur.right = entry
+                        entry.up, entry.down = cur, cur.down
                         break
                     cur = cur.right
                 else:
                     if cur.left is None:
                         cur.left = entry
+                        entry.up, entry.down = cur.up, cur
                         break
                     cur = cur.left
             entry.par = cur
+        if entry.up is not None:
+            entry.up.down = entry
+        if entry.down is not None:
+            entry.down.up = entry
         # Rotate the new leaf up while its priority is below its parent's.
         prio = entry.prio
         par = entry.par
@@ -219,17 +224,11 @@ class SweepStatus:
         prev = self._last
         if prev is None or not _after(entry, hn, hd, prev, xi):
             return False
-        succ = prev.right
-        if succ is None:
-            # prev's successor: the nearest ancestor with prev on its left.
-            cur = prev
-            while (succ := cur.par) is not None and succ.right is cur:
-                cur = succ
-        else:
-            while succ.left is not None:
-                succ = succ.left
+        succ = prev.down
         if succ is not None and _after(entry, hn, hd, succ, xi):
             return False
+        entry.up, entry.down = prev, succ
+        # succ, when prev has a right subtree, is its leftmost entry.
         if prev.right is None:
             prev.right = entry
             entry.par = prev
@@ -242,6 +241,11 @@ class SweepStatus:
         node = self._entries.pop(segment)
         if node is self._last:
             self._last = None
+        up, down = node.up, node.down
+        if up is not None:
+            up.down = down
+        if down is not None:
+            down.up = up
         # Join node's subtrees into its slot: each step hangs the root of
         # lower priority there, and the next slot is on that root's inner side.
         left, right = node.left, node.right
@@ -269,19 +273,11 @@ class SweepStatus:
             else:
                 on_left = True
                 right = right.left
-        node.left = node.right = node.par = None
+        node.left = node.right = node.par = node.up = node.down = None
 
     def predecessor(self, entry: StatusEntry) -> Optional[StatusEntry]:
         """Entry immediately before (above) the given one, or None."""
-        cur = entry.left
-        if cur is not None:
-            while cur.right is not None:
-                cur = cur.right
-            return cur
-        cur = entry
-        while (par := cur.par) is not None and par.left is cur:
-            cur = par
-        return par
+        return entry.up
 
 
 @dataclass(slots=True)
@@ -430,21 +426,19 @@ def _sweep(events: SweepEvents) -> Dict[str, Optional[str]]:
     """Run the status through the events; immediate container per polygon."""
     status = SweepStatus()
     insert, remove = status.insert, status.remove
-    predecessor = status.predecessor
     parent: Dict[str, Optional[str]] = {}
 
     for segment, x, inserting in events.merge():
         if not inserting:
             remove(segment)
             continue
-        entry = insert(segment, x)
+        up = insert(segment, x).up
         pid = segment.polygon.id
         if pid not in parent:  # the polygon's first segment
-            pred = predecessor(entry)
-            if pred is None:
+            if up is None:
                 parent[pid] = None
-            elif pred.segment.parity == 1:
-                parent[pid] = pred.segment.polygon.id
+            elif up.segment.side < 0:
+                parent[pid] = up.segment.polygon.id
             else:
-                parent[pid] = parent[pred.segment.polygon.id]
+                parent[pid] = parent[up.segment.polygon.id]
     return parent

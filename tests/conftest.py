@@ -5,6 +5,8 @@ import pytest
 from nestpoly import GenConfig, generate, make_polygon
 from nestpoly.segments import assign_parities, decompose
 
+from reference import parity
+
 
 def square(pid, x0, y0, side):
     return make_polygon(
@@ -21,7 +23,7 @@ def segments_of(polygon):
 def top_bottom(polygon):
     """(top segment, bottom segment) of a convex polygon."""
     a, b = segments_of(polygon)
-    if a.parity == 1:
+    if parity(a) == 1:
         return a, b
     return b, a
 

@@ -1,11 +1,12 @@
 """Reference checks that the tests run against the library.
 
 None of this runs in `nestpoly nest`: the shoelace area of a vertex list,
-point location by winding number, the three x-monotonicity checkers, the
-direct segment count behind each parity, an any-two-segments view of the
-sweep's vertical order, the coordinate and Point/Edge views of a segment
-that these checks read, the sweep's events as one sorted list, a sweep
-status that re-checks its order after every insert (raising
+point location by winding number, the three x-monotonicity checkers, a
+segment's parity and the direct segment count behind it, an
+any-two-segments view of the sweep's vertical order, walks of the status
+treap that check its thread, the coordinate and Point/Edge views of a
+segment that these checks read, the sweep's events as one sorted list, a
+sweep status that re-checks its order after every insert (raising
 InternalOrderViolation), one that counts the events alive at the middle
 insert, and a boundary-contact test for generated polygons.
 """
@@ -220,6 +221,55 @@ def status_order(status: SweepStatus) -> List[StatusEntry]:
     return out
 
 
+def walk_predecessor(entry: StatusEntry) -> Optional[StatusEntry]:
+    """The entry just above the given one, found by a walk of the treap."""
+    cur = entry.left
+    if cur is not None:
+        while cur.right is not None:
+            cur = cur.right
+        return cur
+    cur = entry
+    while (par := cur.par) is not None and par.left is cur:
+        cur = par
+    return par
+
+
+def walk_successor(entry: StatusEntry) -> Optional[StatusEntry]:
+    """The entry just below the given one, found by a walk of the treap."""
+    cur = entry.right
+    if cur is not None:
+        while cur.left is not None:
+            cur = cur.left
+        return cur
+    cur = entry
+    while (par := cur.par) is not None and par.right is cur:
+        cur = par
+    return par
+
+
+def check_thread(status: SweepStatus) -> None:
+    """Assert that the up and down links thread the live entries in
+    status_order, read from either end, and that predecessor and each
+    entry's down agree with the walks of the treap."""
+    order = status_order(status)
+    if not order:
+        return
+    down: List[StatusEntry] = []
+    cur: Optional[StatusEntry] = order[0]
+    while cur is not None:
+        down.append(cur)
+        cur = cur.down
+    up: List[StatusEntry] = []
+    cur = order[-1]
+    while cur is not None:
+        up.append(cur)
+        cur = cur.up
+    assert down == order and up == order[::-1]
+    for entry in order:
+        assert status.predecessor(entry) is walk_predecessor(entry)
+        assert entry.down is walk_successor(entry)
+
+
 class InternalOrderViolation(NestpolyError):
     """A CheckedStatus or checked_forest check failed."""
 
@@ -257,7 +307,7 @@ def checked_forest(polygons: Sequence[Polygon]) -> NestingForest:
     def checked_build_events(segments):
         events = build_events(segments)
         for ev in events:
-            if ev.first and ev.segment.parity != 1:
+            if ev.first and parity(ev.segment) != 1:
                 raise InternalOrderViolation(
                     f"first segment of polygon {ev.segment.polygon_id!r} "
                     f"has interior above it"
@@ -394,6 +444,12 @@ def count_N(
         if oxs[0] <= xi < oxs[-1] and y_at(other, xi) >= base:
             count += 1
     return count
+
+
+def parity(segment: MaxSegment) -> bool:
+    """The paper's parity of a segment, 1 (True) when its polygon's interior
+    lies below it: read from the sign of MaxSegment.side."""
+    return segment.side < 0
 
 
 def parity_oracle(polygon: Polygon, segment: MaxSegment) -> int:

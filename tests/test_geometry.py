@@ -23,6 +23,7 @@ from conftest import segments_of
 from reference import (
     chain,
     height_num,
+    parity,
     shoelace_area,
     signed_area2,
     span_edges,
@@ -214,7 +215,7 @@ def test_shoelace_metamorphic():
 
 def _upper_triangle_segment():
     t = make_polygon("T", [(0, 0), (4, 0), (2, 3)])
-    upper = [s for s in segments_of(t) if s.parity == 1]
+    upper = [s for s in segments_of(t) if parity(s) == 1]
     assert len(upper) == 1
     return upper[0]
 

@@ -505,18 +505,20 @@ def test_witnesses_in_input_units(tmp_path, capsys):
     # The other parity rejections that a vertex cycle can reach.
     for vertices, text in REJECTED_PARITIES:
         assert message(vertices) == f"polygon 'P': {text}"
-    # A model failure ends nest with exit 1 and one line.
+    # A model failure ends nest or oracle with exit 1 and one line. The
+    # oracle finds no point inside the bowtie, not even on a vertical cut.
     unparitied = {"id": "P", "vertices": REJECTED_PARITIES[0][0]}
     bowtie = {"id": "P", "vertices": REJECTED_PARITIES[-1][0]}
     twins = [{"id": pid, "vertices": [[0, 0], [4, 0], [4, 4], [0, 4]]}
              for pid in ("A", "B")]
-    for polygons, text in (
-        ([unparitied], f"polygon 'P': {REJECTED_PARITIES[0][1]}"),
-        ([bowtie], f"polygon 'P': {REJECTED_PARITIES[-1][1]}"),
-        (twins, "segments of polygons 'B' and 'A' coincide at x=0"),
+    for command, polygons, text in (
+        ("nest", [unparitied], f"polygon 'P': {REJECTED_PARITIES[0][1]}"),
+        ("nest", [bowtie], f"polygon 'P': {REJECTED_PARITIES[-1][1]}"),
+        ("nest", twins, "segments of polygons 'B' and 'A' coincide at x=0"),
+        ("oracle", [bowtie], "no interior point found for 'P'"),
     ):
         inst = write(tmp_path, "in.json", json.dumps({"polygons": polygons}))
-        assert main(["nest", "-i", inst]) == 1
+        assert main([command, "-i", inst]) == 1
         assert capsys.readouterr() == ("", f"error: {text}\n")
     doc = json.dumps(
         {"polygons": [{"id": "D", "vertices": [
@@ -872,6 +874,7 @@ def test_cli_json_errors_read_alike(tmp_path, capsys, reader):
     inst = write(tmp_path, "in.json", TWO_SQUARES)
     bad = write(tmp_path, "bad.json", '{"a": 1,}')
     deep = write(tmp_path, "deep.json", "[" * 200000 + "]" * 200000)
+    long_int = write(tmp_path, "long.json", "[" + "9" * 5000 + "]")
     not_utf8 = tmp_path / "not_utf8.json"
     not_utf8.write_bytes(b'\xff{"a": 1}')
     missing = str(tmp_path / "missing.json")
@@ -884,6 +887,8 @@ def test_cli_json_errors_read_alike(tmp_path, capsys, reader):
         (bad, "invalid JSON at line 1 column 9: "
               "Expecting property name enclosed in double quotes"),
         (deep, "invalid JSON: nested too deeply"),
+        (long_int, "invalid JSON: integer over "
+                   f"{sys.get_int_max_str_digits()} digits"),
         (str(not_utf8), "input is not UTF-8: byte 0 cannot be decoded"),
         (missing, f"cannot read {missing}: [Errno 2] No such file or "
                   f"directory: {missing!r}"),

@@ -6,7 +6,7 @@ from fractions import Fraction
 from nestpoly.sweep import build_events
 
 from conftest import segments_of, square, top_bottom
-from reference import Rel, chain, cmp_at, span_edges
+from reference import Rel, chain, cmp_at, parity, span_edges
 
 
 def test_cmp_at_nested_squares_chain(nested_squares):
@@ -23,7 +23,7 @@ def test_cmp_at_nested_squares_chain(nested_squares):
 def test_cmp_at_shared_bottom_edge_area_tiebreak(bottom_edge_pair):
     o, i = bottom_edge_pair
     _, bot_o = top_bottom(o)
-    bot_i = next(s for s in segments_of(i) if s.parity == 0)
+    bot_i = next(s for s in segments_of(i) if parity(s) == 0)
     # Same height and slope at x=1, both with interior above: the smaller
     # polygon comes first.
     assert o.area == 16 and i.area == 4
@@ -55,7 +55,7 @@ def test_insertion_cmp_disjoint_extents():
 def test_insertion_cmp_shared_min_x(vertex_touch_pair):
     o, i = vertex_touch_pair
     top_o, _ = top_bottom(o)
-    top_i = next(s for s in segments_of(i) if s.parity == 1)
+    top_i = next(s for s in segments_of(i) if parity(s) == 1)
     assert chain(top_o)[0][0] == chain(top_i)[0][0] == 0
     # Both start at x = 0; the outer top lies above and is inserted first.
     for given in ([top_o, top_i], [top_i, top_o]):

@@ -38,6 +38,7 @@ from reference import (
     chain,
     check_unique_cover,
     count_N,
+    parity,
     parity_oracle,
     satisfies_property_O,
     segment_edges,
@@ -132,16 +133,16 @@ def test_checker_triple_agreement_on_random_subpaths(small_corpus):
 def test_parities_square():
     p = make_polygon("S", [(0, 0), (4, 0), (4, 4), (0, 4)])
     top, bottom = top_bottom(p)
-    assert top.parity == 1 and chain(top)[1][0] == 4
-    assert bottom.parity == 0 and chain(bottom)[1][0] == 0
+    assert parity(top) == 1 and chain(top)[1][0] == 4
+    assert parity(bottom) == 0 and chain(bottom)[1][0] == 0
 
 
 def test_parities_triangle():
     p = make_polygon("T", [(0, 0), (4, 0), (2, 3)])
     upper = next(s for s in segments_of(p) if len(chain(s)[0]) == 3)
     base = next(s for s in segments_of(p) if len(chain(s)[0]) == 2)
-    assert upper.parity == 1
-    assert base.parity == 0
+    assert parity(upper) == 1
+    assert parity(base) == 0
 
 
 def test_count_N_square():
@@ -166,7 +167,7 @@ def test_count_N_parity_constant(small_corpus):
                     xi = lo + Fraction(rng.randint(1, 999), 1000) * (hi - lo)
                     seen.add(count_N(p, s, xi, d) % 2)
                 assert len(seen) == 1
-                assert seen.pop() == s.parity
+                assert seen.pop() == parity(s)
 
 
 def test_convex_ngons_two_segments():
@@ -208,9 +209,9 @@ def test_structural_invariants(small_corpus):
                         assert v in ((axs[0], ays[0]), (axs[-1], ays[-1]))
                         assert v in ((bxs[0], bys[0]), (bxs[-1], bys[-1]))
             assign_parities(p, d)
-            assert sum(s.parity for s in segs) == len(segs) // 2
+            assert sum(parity(s) for s in segs) == len(segs) // 2
             for i, s in enumerate(segs):
-                assert s.parity != segs[(i + 1) % len(segs)].parity
+                assert parity(s) != parity(segs[(i + 1) % len(segs)])
 
 
 # Parity from orientation ----------------------------------------------------
@@ -247,7 +248,7 @@ def test_parities_follow_orientation_under_plane_moves(
             assert nesting_forest(moved).parent == expected, name
             for p in moved:
                 for s in segments_of(p):
-                    assert s.parity == parity_oracle(p, s), (name, p.id)
+                    assert parity(s) == parity_oracle(p, s), (name, p.id)
 
 
 def test_random_cycles_against_validate():
@@ -272,7 +273,7 @@ def test_random_cycles_against_validate():
         if simple:
             assert forest.parent == {"R": None}
             for s in segments_of(p):
-                assert s.parity == parity_oracle(p, s), cycle
+                assert parity(s) == parity_oracle(p, s), cycle
             accepted += 1
     assert accepted > 500 and rejected > 500
 
@@ -303,7 +304,7 @@ def small_workload_polygons(name):
 
 def columns(decomposition):
     return [
-        (s.polygon_id, s.polygon, s.first, s.last, s.parity)
+        (s.polygon_id, s.polygon, s.first, s.last, parity(s))
         for s in decomposition.segments
     ]
 
@@ -432,7 +433,7 @@ def test_index_pairs_that_pass_vertex_0(scanned):
     for name, (cycle, want) in {**WRAPPED_SPLITS, **WRAPPED_SCANS}.items():
         p = make_polygon("P", cycle)
         got = decompose(p)
-        pairs = [(s.first, s.last, s.parity) for s in got.segments]
+        pairs = [(s.first, s.last, parity(s)) for s in got.segments]
         assert pairs == want, name
         assert columns(scan_runs(p)) == columns(got), name
         split = name in WRAPPED_SPLITS

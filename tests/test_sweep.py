@@ -39,10 +39,12 @@ from reference import (
     InternalOrderViolation,
     Rel,
     chain,
+    check_thread,
     checked_forest,
     cmp_at,
     event_list,
     live_events_mid_sweep,
+    parity,
     status_order,
 )
 
@@ -186,6 +188,19 @@ def test_status_insert_past_the_first_edge_advances_the_cursor():
     assert order == [top, i_top, i_bottom, bottom]
     with pytest.raises(OutOfDomain):
         SweepStatus().insert(bottom, 7)
+
+
+def test_status_insert_outside_the_segment_raises():
+    # The bottom chain of S spans x = 2 .. 6: an insert on either side of it
+    # raises rather than extrapolate an edge, and leaves the status empty.
+    top, bottom = top_bottom(square("S", 2, 0, 4))
+    status = SweepStatus()
+    with pytest.raises(OutOfDomain, match="x=1 precedes the current edge"):
+        status.insert(bottom, 1)
+    with pytest.raises(OutOfDomain, match="x=7 beyond segment"):
+        status.insert(bottom, 7)
+    assert status.root is None
+    assert status.insert(bottom, 6).ax == 2
 
 
 def test_status_remove_keeps_order(nested_squares):
@@ -479,7 +494,7 @@ def test_layers_accept_fraction_polygons(small_corpus):
                 pid = ev.segment.polygon_id
                 if pred is None:
                     parent[pid] = None
-                elif pred.segment.parity == 1:
+                elif parity(pred.segment) == 1:
                     parent[pid] = pred.segment.polygon_id
                 else:
                     parent[pid] = parent[pred.segment.polygon_id]
@@ -711,4 +726,20 @@ def test_treap_invariants_after_every_event(small_corpus):
                 )
                 live.insert(at, ev.segment)
             _check_treap(status)
+            check_thread(status)
             assert [e.segment for e in status_order(status)] == live
+
+
+@pytest.mark.parametrize("name", ["convex-grid", "nested-notched",
+                                  "quadtree-decimal"])
+def test_thread_after_every_event_on_small_workloads(name):
+    make_small = _load_workloads()[name].make_small
+    for seed in (1, 2, 3):
+        polygons = parse_instance(make_small(seed).to_json())
+        status = SweepStatus()
+        for ev in build_events(all_segments(polygons)):
+            if ev.kind == "remove":
+                status.remove(ev.segment)
+            else:
+                status.insert(ev.segment, ev.xi)
+            check_thread(status)
