@@ -35,7 +35,7 @@ class MaxSegment:
     last: int
 
     @property
-    def side(self):
+    def side(self) -> int:
         """twice_area for a rightward chain, -twice_area for a leftward one.
 
         The interior lies left of a counter-clockwise boundary (twice_area >
