@@ -48,11 +48,11 @@ def load_json(text, object_hook=None):
 def parse_instance(text) -> List[Polygon]:
     """Parse an instance document from str or bytes.
 
-    Every polygon comes out over one denominator L: the least common
-    multiple of the denominators of the polygons' decimal strings, 1 when
-    all coordinates are JSON integers. Each distinct string is checked and
-    reduced to a numerator and denominator once, with int arithmetic, so no
-    Fraction is made; every column entry is then an int scaled by L.
+    Every polygon comes out over one denominator L, the least common
+    multiple of the denominators of the polygons' decimal strings (1 for
+    JSON ints alone). A coordinate costs a class check and, for a string, a
+    table probe; only a new string is reduced, with int arithmetic and no
+    Fraction. Columns with strings are scaled by a table of their values.
 
     Raises ParseError for input that load_json rejects, and SemanticError
     for schema violations such as duplicate ids or too few vertices.
@@ -77,14 +77,24 @@ def parse_instance(text) -> List[Polygon]:
     rows: List[_Row] = []
     # Errors come in document order: earlier rows are built first.
     failure = _read_rows(items, rows, ratios)
-    # L from the rows alone: ratios also holds other objects' strings.
-    den = math.lcm(*(row[3] for row in rows))
-    scaled = {s: n * (den // d) for s, (n, d) in ratios.items()}
+    # L from the rows' strings alone: ratios also holds other objects'.
+    used = set()
+    for row in rows:
+        if row[3]:
+            used.update(row[1], row[2])
+    kept = {s: ratios[s] for s in used.intersection(ratios)}
+    den = math.lcm(*[d for _, d in kept.values()])
+    # Each value in those rows times L, once per distinct value.
+    scaled = {c: c * den for c in used.difference(kept)}
+    scaled.update({s: n * (den // d) for s, (n, d) in kept.items()})
     polygons: List[Polygon] = []
-    for pid, xs, ys, _ in rows:
-        if scaled:
-            xs = _scale_column(xs, den, scaled)
-            ys = _scale_column(ys, den, scaled)
+    for pid, xs, ys, strings in rows:
+        if strings:
+            xs = tuple(map(scaled.__getitem__, xs))
+            ys = tuple(map(scaled.__getitem__, ys))
+        elif den != 1:
+            xs = tuple([x * den for x in xs])
+            ys = tuple([y * den for y in ys])
         try:
             polygons.append(polygon_from_columns(pid, xs, ys, den))
         except InputError as exc:
@@ -120,34 +130,38 @@ def _read_rows(items: list, rows: list, ratios: Dict[str, Tuple[int, int]]):
 
 
 class _Row(tuple):
-    """(id, xs, ys, den), kept off CPython's free list of plain tuples."""
+    """(id, xs, ys, holds a string), kept off the plain tuples' free list."""
     __slots__ = ()
 
 
 def _row(pid, verts, ratios: Dict[str, Tuple[int, int]]) -> _Row:
-    """Columns of JSON ints and decimal strings over den, the LCM of the
-    strings' denominators; ValueError at the vertex list's first fault."""
+    """Columns of JSON ints and decimal strings, each string's ratio in
+    ratios (only a str is probed); ValueError at the first fault."""
     if verts.__class__ is not list:
         raise ValueError("vertices must be a list")
-    den = 1
+    strings = False
     for j, v in enumerate(verts):
         if v.__class__ is not list or len(v) != 2:
             raise ValueError(f"vertex #{j} must be an [x, y] pair")
         x, y = v
         try:
             if x.__class__ is not int:
-                den = _add_ratio(x, ratios, den)
+                if x.__class__ is not str or x not in ratios:
+                    _add_ratio(x, ratios)
+                strings = True
             if y.__class__ is not int:
-                den = _add_ratio(y, ratios, den)
+                if y.__class__ is not str or y not in ratios:
+                    _add_ratio(y, ratios)
+                strings = True
         except ValueError as exc:
             raise ValueError(f"vertex #{j}: {exc}") from None
     # One zip, not appends: list growth would scatter the decoder's ints.
     xs, ys = zip(*verts) if verts else ((), ())
-    return _Row((pid, xs, ys, den))
+    return _Row((pid, xs, ys, strings))
 
 
-def _add_ratio(value, ratios: Dict[str, Tuple[int, int]], den: int) -> int:
-    """Check a coordinate that is not a JSON int; lcm(den, its denominator)."""
+def _add_ratio(value, ratios: Dict[str, Tuple[int, int]]) -> None:
+    """Check a coordinate that is no int or known string; add it to ratios."""
     cls = value.__class__
     if cls is not str:
         if cls is bool or cls is float:
@@ -155,16 +169,7 @@ def _add_ratio(value, ratios: Dict[str, Tuple[int, int]], den: int) -> int:
                 "coordinates must be integers or finite-decimal strings"
             )
         raise ValueError(f"unsupported coordinate type: {cls.__name__}")
-    ratio = ratios.get(value)
-    if ratio is None:
-        ratio = ratios[value] = decimal_ratio(value)
-    return den if den % ratio[1] == 0 else math.lcm(den, ratio[1])
-
-
-def _scale_column(column: tuple, den: int, scaled: Dict[str, int]) -> tuple:
-    # The column times den: scaled holds each string's value times den.
-    return tuple([scaled[c] if c.__class__ is str else c * den
-                  for c in column])
+    ratios[value] = decimal_ratio(value)
 
 
 def _encode_coord(value: Coord):

@@ -9,8 +9,8 @@ interior lies above or below it) and its polygon id are read from those.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress, repeat
-from operator import eq, gt, lt, ne, sub
+from itertools import compress
+from operator import gt, lt, ne, sub
 from typing import Tuple
 
 from .errors import ParityInconsistency
@@ -163,22 +163,27 @@ def assign_parities(
 
     A simple polygon's topmost vertex (ties broken by smallest x) is a strict
     convex corner that the boundary passes once, so the boundary turns there
-    with the sign of twice_area. Raises ParityInconsistency, naming that
-    vertex, when the polygon fails this; returns decomposition otherwise.
+    with the sign of twice_area; count and index find the top row with no
+    copy of ys. Raises ParityInconsistency, naming that vertex, when the
+    polygon fails this; returns decomposition otherwise.
     """
     xs, ys = polygon.xs, polygon.ys
     ty = max(ys)
-    i = ys.index(ty)
-    row_xs = ()  # xs of the top row when it holds more than one vertex
-    if ty in ys[i + 1:]:
-        row = list(compress(range(len(ys)), map(eq, ys, repeat(ty))))
-        row_xs = list(map(xs.__getitem__, row))
-        i = row[row_xs.index(min(row_xs))]
-    tx = xs[i]
+    i = k = ys.index(ty)
+    tx, repeated = xs[i], False  # repeated: another top vertex at (tx, ty)
+    others = ys.count(ty) - 1  # top-row vertices after vertex k
+    while others:
+        others -= 1
+        k = ys.index(ty, k + 1)
+        x = xs[k]
+        if x < tx:
+            i, tx, repeated = k, x, False
+        elif x == tx:
+            repeated = True
     # Cross product of the edges into and out of vertex i; index -1 wraps.
     j = (i + 1) % len(xs)
     turn = (tx - xs[i - 1]) * (ys[j] - ty) - (ty - ys[i - 1]) * (xs[j] - tx)
-    if row_xs.count(tx) > 1 or turn * polygon.twice_area <= 0:
+    if repeated or turn * polygon.twice_area <= 0:
         raise ParityInconsistency(
             f"polygon {polygon.id!r}: topmost vertex "
             f"{unscaled_point(tx, ty, polygon.denominator)} is not a convex "

@@ -31,13 +31,13 @@ class StatusEntry:
     edge, which runs to the next vertex of the chain (see MaxSegment). ax,
     ay, dx, dy and end cache that edge: its left end, its direction (dx > 0)
     and the abscissa of its right end. They start at the segment's first
-    edge and change only when advance_current_edge moves the cursor. prio,
-    left, right and par link the entry into a SweepStatus's treap; up and
-    down thread the live entries in status order, top to bottom.
+    edge and change only when advance_current_edge moves the cursor; side
+    copies segment.side. prio, left, right and par link the entry into a
+    SweepStatus's treap; up and down thread the live entries top to bottom.
     """
 
     __slots__ = (
-        "segment", "cursor", "ax", "ay", "dx", "dy", "end",
+        "segment", "cursor", "ax", "ay", "dx", "dy", "end", "side",
         "prio", "left", "right", "par", "up", "down",
     )
 
@@ -45,6 +45,8 @@ class StatusEntry:
         self.segment = segment
         self.cursor = k = segment.first
         j = k + 1 if segment.last > k else k - 1
+        t = segment.polygon.twice_area
+        self.side = t if j > k else -t  # no new int for a rightward chain
         xs, ys = segment.polygon.xs, segment.polygon.ys
         self.ax = ax = xs[k]
         self.ay = ay = ys[k]
@@ -53,6 +55,10 @@ class StatusEntry:
         self.dy = ys[j] - ay
         self.prio = prio
         self.left = self.right = self.par = self.up = self.down = None
+
+    @property
+    def polygon_id(self) -> str:
+        return self.segment.polygon.id
 
 
 def advance_current_edge(entry: StatusEntry, xi) -> StatusEntry:
@@ -91,14 +97,15 @@ def advance_current_edge(entry: StatusEntry, xi) -> StatusEntry:
     return entry
 
 
-def tie_break(a: MaxSegment, adx, ady, b: MaxSegment, bdx, bdy, xi) -> int:
+def tie_break(a, adx, ady, b, bdx, bdy, xi) -> int:
     """Order of two distinct segments that have equal height at xi.
 
+    a and b are two MaxSegments, or two StatusEntries, which store side.
     (adx, ady) and (bdx, bdy) are the directions of their edges at xi, with
     adx, bdx > 0. The steeper edge runs above just right of xi and comes
-    first; then the positive side (interior above) first; then the smaller
-    side first, which puts the smaller of two polygons on its interior's
-    side of the larger.
+    first; then, read only on equal slopes, the positive side (interior
+    above) first; then the smaller side first, which puts the smaller of
+    two polygons on its interior's side of the larger.
     Returns -1 when a comes first, +1 otherwise; raises CoincidentSegments,
     an OverlapDetected, on a complete tie.
     """
@@ -111,7 +118,7 @@ def tie_break(a: MaxSegment, adx, ady, b: MaxSegment, bdx, bdy, xi) -> int:
         return -1 if sa > 0 else 1
     if sa != sb:
         return -1 if sa < sb else 1
-    raise CoincidentSegments(a.polygon.id, b.polygon.id, xi)
+    raise CoincidentSegments(a.polygon_id, b.polygon_id, xi)
 
 
 def _after(entry: StatusEntry, hn, hd, other: StatusEntry, xi) -> bool:
@@ -127,9 +134,7 @@ def _after(entry: StatusEntry, hn, hd, other: StatusEntry, xi) -> bool:
     rhs = hd * (other.ay * dx + (xi - other.ax) * other.dy)
     if lhs != rhs:
         return lhs < rhs
-    return tie_break(
-        entry.segment, entry.dx, entry.dy, other.segment, dx, other.dy, xi
-    ) > 0
+    return tie_break(entry, entry.dx, entry.dy, other, dx, other.dy, xi) > 0
 
 
 class SweepStatus:
@@ -173,7 +178,7 @@ class SweepStatus:
                 lhs = hn * dx
                 rhs = hd * (cur.ay * dx + (xi - cur.ax) * cur.dy)
                 if lhs < rhs or lhs == rhs and tie_break(
-                    segment, hd, entry.dy, cur.segment, dx, cur.dy, xi
+                    entry, hd, entry.dy, cur, dx, cur.dy, xi
                 ) > 0:
                     if cur.right is None:
                         cur.right = entry
@@ -437,7 +442,7 @@ def _sweep(events: SweepEvents) -> Dict[str, Optional[str]]:
         if pid not in parent:  # the polygon's first segment
             if up is None:
                 parent[pid] = None
-            elif up.segment.side < 0:
+            elif up.side < 0:
                 parent[pid] = up.segment.polygon.id
             else:
                 parent[pid] = parent[up.segment.polygon.id]

@@ -301,6 +301,17 @@ def test_parse_denominator_comes_from_polygons_only():
     )
     (p,) = parse_instance(json.dumps(doc))
     assert (p.xs, p.ys, p.denominator) == ((1, 4, 0), (0, 0, 4), 2)
+    # A polygon of ints only, beside a decimal one, is scaled by L too.
+    doc = _doc({"id": "a", "vertices": [["0.25", 0], [2, 0], [0, "0.5"]]},
+               {"id": "b", "vertices": [[0, 0], [3, 0], [0, 3]]})
+    a, b = parse_instance(json.dumps(doc))
+    assert (a.xs, a.ys, a.denominator) == ((1, 8, 0), (0, 0, 2), 4)
+    assert (b.xs, b.ys, b.denominator) == ((0, 12, 0), (0, 0, 12), 4)
+    # Strings that reduce to integers give int columns over 1.
+    doc = _doc({"id": "a", "vertices": [["5", "-3"], [7, "-3"], ["5.0", 2]]})
+    (p,) = parse_instance(json.dumps(doc))
+    assert (p.xs, p.ys, p.denominator) == ((5, 7, 5), (-3, -3, 2), 1)
+    assert {type(c) for c in p.xs + p.ys} == {int}
 
 
 def _peak_bytes(fn, *args):
@@ -474,6 +485,16 @@ REJECTED_PARITIES = [
      "topmost vertex Point(x=1, y=4) is not a convex corner that the "
      "boundary passes once"),
     ([[2, 4], [0, 1], [0, 4], [2, 0], [1, 4], [0, 0], [0, 4]],
+     "topmost vertex Point(x=0, y=4) is not a convex corner that the "
+     "boundary passes once"),
+    # The bowtie, from its top-left vertex: the row's ends are 0 and 2, so
+    # the turn at vertex 0 reads its edge in from vertex -1.
+    ([[0, 2], [0, 0], [2, 2], [2, 0]],
+     "topmost vertex Point(x=0, y=2) is not a convex corner that the "
+     "boundary passes once"),
+    # The top row is found at x = 4, 0, 0: the leftmost vertex repeats
+    # after a larger x.
+    ([[4, 4], [0, 4], [0, 0], [2, 0], [0, 4], [-2, 0], [-2, -2], [6, -2]],
      "topmost vertex Point(x=0, y=4) is not a convex corner that the "
      "boundary passes once"),
     # The bowtie of the benchmark's model-breaking instances.

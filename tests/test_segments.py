@@ -483,6 +483,28 @@ def test_split_rejected_parities_match_scan():
         assert str(exc.value) == f"polygon 'P': {text}"
 
 
+@pytest.mark.parametrize(
+    "cycle",
+    [
+        # The top row is found at x = 3, 2, 6, 5, out of x order, both ways
+        # round.
+        [[3, 4], [2, 4], [0, 0], [6, 0], [6, 4], [5, 4], [5, 2], [3, 2]],
+        [[3, 2], [5, 2], [5, 4], [6, 4], [6, 0], [0, 0], [2, 4], [3, 4]],
+        # The leftmost top vertex is vertex 0, then the last vertex.
+        [[0, 4], [0, 0], [4, 0], [4, 4]],
+        [[0, 0], [4, 0], [4, 4], [2, 4], [0, 4]],
+        # (4, 4) repeats right of the leftmost top vertex, before it and
+        # after it in the cycle; only a repeat of the leftmost one counts.
+        [[4, 4], [8, 4], [8, 2], [5, 3], [4, 4], [0, 4], [0, 0], [4, 0]],
+        [[0, 4], [0, 0], [4, 0], [4, 4], [8, 4], [8, 2], [5, 3], [4, 4]],
+    ],
+)
+def test_top_row_walk_accepts(cycle):
+    p = make_polygon("P", cycle)
+    deco = decompose(p)
+    assert assign_parities(p, deco) is deco
+
+
 def test_split_selection_on_workloads(scanned):
     # x-monotone cells never reach the run scan; notched squares always do.
     for name in ("convex-grid", "quadtree-decimal"):

@@ -3,6 +3,7 @@
 import json
 import sys
 from fractions import Fraction
+from functools import cmp_to_key
 from operator import eq
 
 import pytest
@@ -24,7 +25,7 @@ from nestpoly import (
 )
 from nestpoly.errors import CoincidentSegments, OutOfDomain
 from nestpoly.geometry import Polygon
-from nestpoly.segments import decompose
+from nestpoly.segments import MaxSegment, decompose
 from nestpoly.sweep import (
     StatusEntry,
     SweepStatus,
@@ -709,6 +710,36 @@ def test_only_the_finger_calls_after(monkeypatch):
     assert 0 < calls <= 2 * repeats
 
 
+def test_side_is_read_once_per_tie_outside_the_sweep(monkeypatch):
+    # Live entries keep their segment's side, so MaxSegment.side is read
+    # only where build_events orders segments that share a start point: at
+    # most twice per comparison there, and never in the status or the
+    # parent rule.
+    inst = _load_workloads()["quadtree-decimal"].make_small(1)
+    polygons = parse_instance(inst.to_json())
+    reads = shared = 0
+    side = MaxSegment.side
+
+    def counted_side(segment):
+        nonlocal reads
+        reads += 1
+        return side.fget(segment)
+
+    original = nestpoly.sweep._cmp_shared_start
+
+    def counted_cmp(a, b):
+        nonlocal shared
+        shared += 1
+        return original(a, b)
+
+    monkeypatch.setattr(MaxSegment, "side", property(counted_side))
+    monkeypatch.setattr(nestpoly.sweep, "_cmp_shared_start", counted_cmp)
+    monkeypatch.setattr(nestpoly.sweep, "_start_key", cmp_to_key(counted_cmp))
+    assert nesting_forest(polygons).parent == inst.parent
+    assert shared > 0
+    assert reads <= 2 * shared
+
+
 def test_treap_invariants_after_every_event(small_corpus):
     for polygons in small_corpus:
         status = SweepStatus()
@@ -727,7 +758,9 @@ def test_treap_invariants_after_every_event(small_corpus):
                 live.insert(at, ev.segment)
             _check_treap(status)
             check_thread(status)
-            assert [e.segment for e in status_order(status)] == live
+            entries = status_order(status)
+            assert [e.segment for e in entries] == live
+            assert [e.side for e in entries] == [s.side for s in live]
 
 
 @pytest.mark.parametrize("name", ["convex-grid", "nested-notched",
