@@ -52,7 +52,8 @@ def parse_instance(text) -> List[Polygon]:
     multiple of the denominators of the polygons' decimal strings (1 for
     JSON ints alone). A coordinate costs a class check and, for a string, a
     table probe; only a new string is reduced, with int arithmetic and no
-    Fraction. Columns with strings are scaled by a table of their values.
+    Fraction. When any string is used, every column is scaled by one table
+    of the distinct values, each times L.
 
     Raises ParseError for input that load_json rejects, and SemanticError
     for schema violations such as duplicate ids or too few vertices.
@@ -79,22 +80,19 @@ def parse_instance(text) -> List[Polygon]:
     failure = _read_rows(items, rows, ratios)
     # L from the rows' strings alone: ratios also holds other objects'.
     used = set()
-    for row in rows:
-        if row[3]:
-            used.update(row[1], row[2])
+    if ratios:
+        for _, xs, ys in rows:
+            used.update(xs, ys)
     kept = {s: ratios[s] for s in used.intersection(ratios)}
     den = math.lcm(*[d for _, d in kept.values()])
-    # Each value in those rows times L, once per distinct value.
+    # Each value in the rows times L, once per distinct value.
     scaled = {c: c * den for c in used.difference(kept)}
     scaled.update({s: n * (den // d) for s, (n, d) in kept.items()})
     polygons: List[Polygon] = []
-    for pid, xs, ys, strings in rows:
-        if strings:
+    for pid, xs, ys in rows:
+        if kept:
             xs = tuple(map(scaled.__getitem__, xs))
             ys = tuple(map(scaled.__getitem__, ys))
-        elif den != 1:
-            xs = tuple([x * den for x in xs])
-            ys = tuple([y * den for y in ys])
         try:
             polygons.append(polygon_from_columns(pid, xs, ys, den))
         except InputError as exc:
@@ -130,7 +128,7 @@ def _read_rows(items: list, rows: list, ratios: Dict[str, Tuple[int, int]]):
 
 
 class _Row(tuple):
-    """(id, xs, ys, holds a string), kept off the plain tuples' free list."""
+    """(id, xs, ys), kept off CPython's free list of plain tuples."""
     __slots__ = ()
 
 
@@ -139,7 +137,6 @@ def _row(pid, verts, ratios: Dict[str, Tuple[int, int]]) -> _Row:
     ratios (only a str is probed); ValueError at the first fault."""
     if verts.__class__ is not list:
         raise ValueError("vertices must be a list")
-    strings = False
     for j, v in enumerate(verts):
         if v.__class__ is not list or len(v) != 2:
             raise ValueError(f"vertex #{j} must be an [x, y] pair")
@@ -148,16 +145,14 @@ def _row(pid, verts, ratios: Dict[str, Tuple[int, int]]) -> _Row:
             if x.__class__ is not int:
                 if x.__class__ is not str or x not in ratios:
                     _add_ratio(x, ratios)
-                strings = True
             if y.__class__ is not int:
                 if y.__class__ is not str or y not in ratios:
                     _add_ratio(y, ratios)
-                strings = True
         except ValueError as exc:
             raise ValueError(f"vertex #{j}: {exc}") from None
     # One zip, not appends: list growth would scatter the decoder's ints.
     xs, ys = zip(*verts) if verts else ((), ())
-    return _Row((pid, xs, ys, strings))
+    return _Row((pid, xs, ys))
 
 
 def _add_ratio(value, ratios: Dict[str, Tuple[int, int]]) -> None:

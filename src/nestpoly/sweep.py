@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cmp_to_key
 from itertools import chain, compress, count
 from operator import and_, eq
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from .errors import CoincidentSegments, OutOfDomain, SemanticError
 from .forest import NestingForest
@@ -45,8 +45,7 @@ class StatusEntry:
         self.segment = segment
         self.cursor = k = segment.first
         j = k + 1 if segment.last > k else k - 1
-        t = segment.polygon.twice_area
-        self.side = t if j > k else -t  # no new int for a rightward chain
+        self.side = segment.side
         xs, ys = segment.polygon.xs, segment.polygon.ys
         self.ax = ax = xs[k]
         self.ay = ay = ys[k]
@@ -58,6 +57,7 @@ class StatusEntry:
 
     @property
     def polygon_id(self) -> str:
+        # Read by tie_break on a complete tie, as MaxSegment.polygon_id is.
         return self.segment.polygon.id
 
 
@@ -97,10 +97,12 @@ def advance_current_edge(entry: StatusEntry, xi) -> StatusEntry:
     return entry
 
 
-def tie_break(a, adx, ady, b, bdx, bdy, xi) -> int:
+def tie_break(a: Union[MaxSegment, StatusEntry], adx, ady,
+              b: Union[MaxSegment, StatusEntry], bdx, bdy, xi) -> int:
     """Order of two distinct segments that have equal height at xi.
 
-    a and b are two MaxSegments, or two StatusEntries, which store side.
+    a and b are two StatusEntries, which store side, or two MaxSegments,
+    whose side property is read only when the slopes tie.
     (adx, ady) and (bdx, bdy) are the directions of their edges at xi, with
     adx, bdx > 0. The steeper edge runs above just right of xi and comes
     first; then, read only on equal slopes, the positive side (interior
