@@ -105,12 +105,6 @@ def cross(o: Point, a: Point, b: Point) -> Coord:
     return (a.x - o.x) * (b.y - o.y) - (a.y - o.y) * (b.x - o.x)
 
 
-def _twice_area(xs, ys, next_xs, next_ys) -> int:
-    # The shoelace sum over the columns; next_* are the columns shifted by
-    # one vertex, so that each pair of entries is one edge.
-    return sum(map(mul, xs, next_ys)) - sum(map(mul, next_xs, ys))
-
-
 def unscaled_point(x: int, y: int, denominator: int) -> Point:
     """The vertex with column entries x, y over denominator, in input units."""
     return Point(unscale(x, denominator), unscale(y, denominator))
@@ -223,22 +217,36 @@ def polygon_from_columns(
     n = len(xs)
     if n < 3:
         raise TooFewVertices(f"polygon {poly_id!r}: {n} vertices")
-    next_xs = xs[1:] + xs[:1]
-    next_ys = ys[1:] + ys[:1]
+    # Edge i runs from vertex i to vertex i + 1 (xs1[i] is xs[i + 1]), and
+    # the last edge from vertex n - 1 back to vertex 0.
+    xs1, ys1 = xs[1:], ys[1:]
+    x0, y0, x_last, y_last = xs[0], ys[0], xs[-1], ys[-1]
     # A repeat is a vertical edge of length 0: compare ys at those only.
-    for i in compress(range(n), map(eq, xs, next_xs)):
-        if ys[i] == next_ys[i]:
-            raise DuplicateConsecutiveVertex(
-                f"polygon {poly_id!r}: vertex {i} repeats at "
-                f"{unscaled_point(xs[i], ys[i], denominator)}"
-            )
-    twice_area = _twice_area(xs, ys, next_xs, next_ys)
+    for i in compress(range(n - 1), map(eq, xs, xs1)):
+        if ys[i] == ys1[i]:
+            raise _repeat(poly_id, xs, ys, i, denominator)
+    if x_last == x0 and y_last == y0:
+        raise _repeat(poly_id, xs, ys, n - 1, denominator)
+    # The shoelace sum over the edges.
+    twice_area = (
+        sum(map(mul, xs, ys1)) - sum(map(mul, xs1, ys))
+        + x_last * y0 - x0 * y_last
+    )
     # A nonzero area rules out a cycle of collinear vertices.
     if twice_area == 0:
-        x0, y0 = xs[0], ys[0]
         dx, dy = xs[1] - x0, ys[1] - y0
         if all(
             dx * (y - y0) == dy * (x - x0) for x, y in zip(xs[2:], ys[2:])
         ):
             raise DegenerateAllCollinear(f"polygon {poly_id!r}: zero area")
     return Polygon(poly_id, xs, ys, twice_area, denominator)
+
+
+def _repeat(
+    poly_id: str, xs, ys, i: int, denominator: int
+) -> DuplicateConsecutiveVertex:
+    """The error for vertex i of the columns, equal to the vertex after it."""
+    return DuplicateConsecutiveVertex(
+        f"polygon {poly_id!r}: vertex {i} repeats at "
+        f"{unscaled_point(xs[i], ys[i], denominator)}"
+    )

@@ -25,13 +25,7 @@ def load_json(text, object_hook=None):
     are not UTF-8, malformed JSON (with line and column), an integer too
     long for int() or nesting too deep; object_hook goes to json.loads.
     """
-    if isinstance(text, bytes):
-        try:
-            text = text.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ParseError(
-                f"input is not UTF-8: byte {exc.start} cannot be decoded"
-            ) from exc
+    text = _decode(text)
     try:
         return json.loads(text, object_hook=object_hook)
     except json.JSONDecodeError as exc:
@@ -43,6 +37,18 @@ def load_json(text, object_hook=None):
         raise ParseError(f"invalid JSON: integer over {most} digits") from None
     except RecursionError:
         raise ParseError("invalid JSON: nested too deeply") from None
+
+
+def _decode(text) -> str:
+    """text itself if str, else its bytes decoded as UTF-8 or ParseError."""
+    if isinstance(text, bytes):
+        try:
+            return text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(
+                f"input is not UTF-8: byte {exc.start} cannot be decoded"
+            ) from exc
+    return text
 
 
 def parse_instance(text) -> List[Polygon]:
@@ -60,14 +66,22 @@ def parse_instance(text) -> List[Polygon]:
     """
     ratios: Dict[str, Tuple[int, int]] = {}
 
-    def fold(obj: dict) -> dict:
-        # Valid vertices become a _Row; _read_rows reports on the rest.
-        try:
-            obj["vertices"] = _row(obj.get("id"), obj.get("vertices"), ratios)
-        except ValueError:
-            pass
+    def fold(obj: dict):
+        # A polygon with valid vertices becomes its _Row, so no dict per
+        # polygon outlives decoding; _read_rows reports on the rest. The
+        # top-level object keeps its dict.
+        pid = obj.get("id")
+        if isinstance(pid, str) and pid and "polygons" not in obj:
+            try:
+                return _row(pid, obj.get("vertices"), ratios)
+            except ValueError:
+                pass
         return obj
 
+    # Each form is let go once the next is built: the bytes before the
+    # decoder runs (the caller's call hands them over), the text once it
+    # returns, each row once its polygon is built.
+    text = _decode(text)
     doc = load_json(text, fold)
     del text
     if not isinstance(doc, dict) or "polygons" not in doc:
@@ -89,7 +103,8 @@ def parse_instance(text) -> List[Polygon]:
     scaled = {c: c * den for c in used.difference(kept)}
     scaled.update({s: n * (den // d) for s, (n, d) in kept.items()})
     polygons: List[Polygon] = []
-    for pid, xs, ys in rows:
+    for i, (pid, xs, ys) in enumerate(rows):
+        rows[i] = None
         if kept:
             xs = tuple(map(scaled.__getitem__, xs))
             ys = tuple(map(scaled.__getitem__, ys))
@@ -104,31 +119,38 @@ def parse_instance(text) -> List[Polygon]:
 
 
 def _read_rows(items: list, rows: list, ratios: Dict[str, Tuple[int, int]]):
-    """Check the document's polygons in order, append a _Row for each and
-    drop each item once read. Returns a SemanticError for the first schema
-    violation, with the rows before it appended, or None."""
+    """Check the document's polygons in order, each a dict or the _Row the
+    hook folded it into, append a _Row for each and drop each item once
+    read. Returns a SemanticError for the first schema violation, with the
+    rows before it appended, or None."""
     seen = set()
     for i, item in enumerate(items):
         items[i] = None
-        if not isinstance(item, dict):
+        if item.__class__ is _Row:  # folded by the decoder's hook
+            pid = item[0]
+        elif not isinstance(item, dict):
             return SemanticError(f"polygon #{i} is not an object")
-        pid = item.get("id")
-        if not isinstance(pid, str) or not pid:
-            return SemanticError(f"polygon #{i} needs a non-empty string id")
+        else:
+            pid = item.get("id")
+            if not isinstance(pid, str) or not pid:
+                return SemanticError(
+                    f"polygon #{i} needs a non-empty string id"
+                )
         if pid in seen:
             return SemanticError(f"duplicate polygon id {pid!r}")
         seen.add(pid)
-        verts = item.get("vertices")
-        if verts.__class__ is not _Row:
+        if item.__class__ is not _Row:
             try:
-                verts = _row(pid, verts, ratios)
+                item = _row(pid, item.get("vertices"), ratios)
             except ValueError as exc:
                 return SemanticError(f"polygon {pid!r}: {exc}")
-        rows.append(verts)
+        rows.append(item)
 
 
 class _Row(tuple):
-    """(id, xs, ys), kept off CPython's free list of plain tuples."""
+    """(id, xs, ys), kept off CPython's free list of plain tuples. It
+    stands in for the polygon object it was folded from, and messages name
+    it dict."""
     __slots__ = ()
 
 
@@ -163,7 +185,8 @@ def _add_ratio(value, ratios: Dict[str, Tuple[int, int]]) -> None:
             raise ValueError(
                 "coordinates must be integers or finite-decimal strings"
             )
-        raise ValueError(f"unsupported coordinate type: {cls.__name__}")
+        name = "dict" if cls is _Row else cls.__name__
+        raise ValueError(f"unsupported coordinate type: {name}")
     ratios[value] = decimal_ratio(value)
 
 

@@ -418,14 +418,16 @@ def nesting_forest_with_stats(
         segments.extend(deco.segments)
         n_vertices += len(poly.xs)
 
+    n_segments = len(segments)
     try:
         events = build_events(segments)
+        del segments  # the events hold the segments from here on
         parent = _sweep(events)
     except CoincidentSegments as exc:
         x = unscale(exc.x, scale)
         raise CoincidentSegments(*exc.polygon_ids, x) from None
 
-    stats = SweepStats(len(parent), n_vertices, len(segments), len(events))
+    stats = SweepStats(len(parent), n_vertices, n_segments, len(events))
     return NestingForest(parent), stats
 
 

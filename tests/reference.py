@@ -30,7 +30,6 @@ from nestpoly.geometry import (
     Edge,
     Point,
     Polygon,
-    _twice_area,
     cross,
 )
 from nestpoly.oracle import PointLocation, _between, on_edge
@@ -59,9 +58,10 @@ def shoelace_area(vertices: Sequence[Point]) -> Coord:
 
 def signed_area2(vertices: Sequence[Point]) -> Coord:
     """Twice the signed area; >0 for counterclockwise vertex order."""
-    xs = [p.x for p in vertices]
-    ys = [p.y for p in vertices]
-    return _twice_area(xs, ys, xs[1:] + xs[:1], ys[1:] + ys[:1])
+    n = len(vertices)
+    return sum(
+        cross(Point(0, 0), vertices[i], vertices[(i + 1) % n]) for i in range(n)
+    )
 
 
 # --- Coordinate and Point/Edge views of a maximal segment --------------------

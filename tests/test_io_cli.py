@@ -199,6 +199,8 @@ MALFORMED = [
     ("coordinate-is-polygon",
      _doc({"id": "a", "vertices": [[0, 0], [4, DECIMAL_POLY], [0, 4]]}),
      "polygon 'a': vertex #1: unsupported coordinate type: dict"),
+    ("x-is-polygon", _doc({"id": "a", "vertices": [[0, 0], [POLY, 4], [0, 4]]}),
+     "polygon 'a': vertex #1: unsupported coordinate type: dict"),
     ("vertices-is-polygon", _doc({"id": "a", "vertices": POLY}),
      "polygon 'a': vertices must be a list"),
     ("vertices-is-decimal-polygon", _doc({"id": "a", "vertices": DECIMAL_POLY}),
@@ -266,6 +268,12 @@ MALFORMED = [
      "polygon 'a': vertices must be a list"),
     ("empty-id-before-bad-vertices", _doc({"id": "", "vertices": [[0]]}),
      "polygon #0 needs a non-empty string id"),
+    ("duplicate-id-of-valid-polygons", _doc(POLY, DECIMAL_POLY),
+     "duplicate polygon id 'p'"),
+    ("int-id-with-valid-vertices", _doc({"id": 7, "vertices": TRI}),
+     "polygon #0 needs a non-empty string id"),
+    ("empty-id-after-valid-polygon", _doc(POLY, {"id": "", "vertices": TRI}),
+     "polygon #1 needs a non-empty string id"),
     ("duplicate-id-with-bad-vertices",
      _doc({"id": "a", "vertices": TRI}, {"id": "a", "vertices": [["1e5", 0]]}),
      "duplicate polygon id 'a'"),
@@ -314,12 +322,26 @@ def test_parse_denominator_comes_from_polygons_only():
     assert {type(c) for c in p.xs + p.ys} == {int}
 
 
-def _peak_bytes(fn, *args):
+def test_parse_reads_polygon_keys_beside_polygons():
+    # The top-level object is read as the document even with an id and
+    # vertices of its own, and a polygon that also has a "polygons" key is
+    # read as a polygon, its other keys unread.
+    (p,) = parse_instance(json.dumps(_doc(POLY, id="top", vertices=TRI)))
+    assert (p.id, p.xs, p.ys, p.denominator) == ("p", (0, 4, 0), (0, 0, 4), 1)
+    doc = _doc({"id": "a", "vertices": TRI, "polygons": [DECIMAL_POLY]})
+    (p,) = parse_instance(json.dumps(doc))
+    assert (p.id, p.xs, p.ys, p.denominator) == ("a", (0, 4, 0), (0, 0, 4), 1)
+
+
+def _traced_bytes(fn, *args):
+    """(peak, held): traced bytes at fn's peak, and when it returns with
+    its result alive."""
     gc.collect()
     tracemalloc.start()
     try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1]
+        result = fn(*args)  # noqa: F841 (alive for the second reading)
+        held, peak = tracemalloc.get_traced_memory()
+        return peak, held
     finally:
         tracemalloc.stop()
 
@@ -330,7 +352,39 @@ def test_parse_peaks_below_json_loads():
     text = serialize_instance(
         generate(GenConfig(seed=1, n_roots=300, max_depth=2))
     )
-    assert _peak_bytes(parse_instance, text) < _peak_bytes(json.loads, text)
+    parse_peak = _traced_bytes(parse_instance, text)[0]
+    assert parse_peak < _traced_bytes(json.loads, text)[0]
+
+
+def test_parse_keeps_no_dict_per_polygon():
+    # Above what it returns, parse holds a few pointers per polygon, the
+    # set of ids and one polygon's vertex lists; one dict per polygon (184
+    # bytes or more) would not fit. The input is a str: a caller's bytes
+    # stay alive for the whole call on Python 3.10.
+    polygons = generate(GenConfig(seed=1, n_roots=300, max_depth=2))
+    peak, held = _traced_bytes(parse_instance, serialize_instance(polygons))
+    assert peak - held < 100 * len(polygons)
+
+
+def test_parse_drops_each_decimal_row_once_built(monkeypatch):
+    # Each row of decimal strings is let go once its polygon is built, so
+    # memory does not grow while the rows are scaled to int columns; were
+    # the rows kept to the end, it would grow by about 50 bytes per vertex.
+    import nestpoly.instance_io
+
+    held = []
+    build = nestpoly.instance_io.polygon_from_columns
+
+    def traced(*args):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return build(*args)
+
+    monkeypatch.setattr(nestpoly.instance_io, "polygon_from_columns", traced)
+    polygons = generate(GenConfig(seed=1, n_roots=100, max_depth=2))
+    text = serialize_instance(transform(polygons, scale=Fraction(3, 1000)))
+    _traced_bytes(parse_instance, text)
+    assert len(held) == len(polygons)
+    assert held[-1] < held[0]
 
 
 def test_parse_error_reports_position():
