@@ -78,9 +78,10 @@ def parse_instance(text) -> List[Polygon]:
                 pass
         return obj
 
-    # Each form is let go once the next is built: the bytes before the
-    # decoder runs (the caller's call hands them over), the text once it
-    # returns, each row once its polygon is built.
+    # Each input form is let go once the next is built: bytes before the
+    # decoder runs (a caller that passes them straight in keeps no
+    # reference on CPython 3.11+), the text once it returns, each row once
+    # its polygon is built.
     text = _decode(text)
     doc = load_json(text, fold)
     del text
