@@ -9,8 +9,6 @@ interior lies above or below it) and its polygon id are read from those.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
-from operator import gt, lt, ne, sub
 from typing import Tuple
 
 from .errors import ParityInconsistency
@@ -57,102 +55,62 @@ class SegmentDecomposition:
 
 
 def decompose(polygon: Polygon) -> SegmentDecomposition:
-    """Split the boundary into maximal x-monotone segments, in O(n).
+    """Split the boundary into maximal x-monotone segments, in one O(n) pass.
 
-    An x-monotone polygon whose leftmost x lies on one vertex or one
-    vertical edge, and whose rightmost x likewise, has exactly two segments:
-    the chain from its left extreme to its right extreme and the chain back.
-    Such a polygon is split there with a few C-level passes over its x
-    column; every other polygon goes to scan_runs. Both give the same
-    segments, with no coordinate copied, in the same order.
-    """
-    xs = polygon.xs
-    # Both counts come before any index or slice: a polygon with three or
-    # more vertices at an extreme leaves after two or four passes.
-    hi = max(xs)
-    hi_count = xs.count(hi)
-    if hi_count > 2:
-        return scan_runs(polygon)
-    lo = min(xs)
-    lo_count = xs.count(lo)
-    if lo_count > 2:
-        return scan_runs(polygon)
-    n = len(xs)
-    # The extremes as vertical edges (a0, a1) and (b0, b1) in traversal
-    # order; a lone vertex is an edge of length 0 with a0 == a1.
-    a0 = a1 = xs.index(lo)
-    if lo_count == 2:
-        if xs[a0 + 1] == lo:
-            a1 = a0 + 1
-        elif a0 == 0 and xs[-1] == lo:
-            a0 = n - 1
-        else:
-            return scan_runs(polygon)
-    b0 = b1 = xs.index(hi)
-    if hi_count == 2:
-        if xs[b0 + 1] == hi:
-            b1 = b0 + 1
-        elif b0 == 0 and xs[-1] == hi:
-            b0 = n - 1
-        else:
-            return scan_runs(polygon)
-    # The rightward chain runs from a1 to b0, the leftward one from b1 to
-    # a0; each is monotone in x or the polygon is not x-monotone.
-    rx = xs[a1:b0 + 1] if a1 <= b0 else xs[a1:] + xs[:b0 + 1]
-    if sorted(rx) != list(rx):
-        return scan_runs(polygon)
-    lx = xs[b1:a0 + 1] if b1 <= a0 else xs[b1:] + xs[:a0 + 1]
-    if sorted(lx, reverse=True) != list(lx):
-        return scan_runs(polygon)
-    # A chain that passes vertex 0 takes its lower index below 0.
-    right = MaxSegment(polygon, a1 if a1 <= b0 else a1 - n, b0)
-    left = MaxSegment(polygon, a0, b1 if b1 <= a0 else b1 - n)
-    # Segments go in the order of their first edges, a1 and b1.
-    return SegmentDecomposition((right, left) if a1 < b1 else (left, right))
-
-
-def scan_runs(polygon: Polygon) -> SegmentDecomposition:
-    """decompose for any polygon: one segment per run of non-vertical edges.
-
-    Runs in O(n) on the polygon's coordinate columns. Vertical edges between
-    two same-direction runs are absorbed into the segment; vertical edges
-    between opposite-direction runs become connector runs and belong to no
+    Each segment is one maximal cyclic run of non-vertical edges with the
+    same x-direction. A vertical edge between two edges of one run belongs
+    to the run; one between two runs connects them and belongs to no
     segment. Around a closed cycle the non-vertical edges' dx sum to 0, so
-    both x-directions occur, and the runs of a cyclic sequence of two
-    directions come in even number: every boundary has an even number of
-    segments, at least two. Segments are ordered by their first edge, and
-    take their index pairs from the runs' end vertices, with no slice.
+    both x-directions occur and the runs come in even number: every
+    boundary has an even number of segments, at least two.
+
+    The loop walks the edges of polygon.xs once. It starts from the
+    direction of the cycle's last non-vertical edge, so a run opens at each
+    edge whose direction differs from the one before and closes the run
+    before it. The edges before the first such change belong to the run
+    still open at the end, which closes round vertex 0, so the lower of its
+    two indices goes negative. Segments come in the order of their first
+    edges, and copy no coordinate.
     """
     xs = polygon.xs
     n = len(xs)
-    next_xs = xs[1:] + xs[:1]
-    # x-direction of edge i: 1 rightwards, -1 leftwards, 0 vertical.
-    dirs = list(map(sub, map(lt, xs, next_xs), map(gt, xs, next_xs)))
-    nonvert = list(compress(range(n), dirs))
-    # A closed cycle cannot consist of vertical edges only (all x equal
-    # would mean all vertices collinear, rejected at construction).
-    assert nonvert, "polygon with non-vertical edges expected"
-    turns = list(compress(dirs, dirs))
-    # Position, among the non-vertical edges, of the first edge of each
-    # maximal cyclic run of equal x-direction. Each run yields one maximal
-    # segment.
-    run_starts = list(
-        compress(range(len(turns)), map(ne, turns, turns[-1:] + turns[:-1]))
-    )
-
+    x = xs[0]
+    # The cycle's last non-vertical edge ends at vertex 0 after the vertical
+    # edges before it; all x equal would be a collinear cycle, rejected by
+    # make_polygon.
+    j = n - 1
+    while xs[j] == x:
+        j -= 1
+    right = xs[j] < x  # x-direction of the current run: True rightwards
     segments = []
-    for r, k in enumerate(run_starts):
-        a = nonvert[k]
-        # Python's index -1 wraps the last run round to the first.
-        e = nonvert[run_starts[(r + 1) % len(run_starts)] - 1]
-        # Vertices a .. b = e + 1 along the cycle, as MaxSegment has them.
-        b = a + (e - a) % n + 1
-        if b >= n:
-            a, b = a - n, b - n
-        if turns[k] > 0:
-            segments.append(MaxSegment(polygon, a, b))
-        else:
-            segments.append(MaxSegment(polygon, b, a))
+    # start: first edge of the open run, -1 before the first change; last:
+    # the latest non-vertical edge; wrap: the last non-vertical edge before
+    # the first change, -1 if there is none.
+    start = wrap = last = -1
+    for i, next_x in enumerate(xs[1:] + xs[:1]):
+        if next_x != x:
+            if (next_x > x) is not right:
+                if start >= 0:
+                    b = last + 1
+                    segments.append(
+                        MaxSegment(polygon, start, b) if right
+                        else MaxSegment(polygon, b, start)
+                    )
+                else:
+                    wrap = last
+                start = i
+                right = not right
+            last = i
+        x = next_x
+    # The open run closes at wrap, or at last if every edge before the first
+    # change is vertical; it spans vertices a .. b along the cycle.
+    a = start
+    b = a + ((wrap if wrap >= 0 else last) - a) % n + 1
+    if b >= n:
+        a, b = a - n, b - n
+    segments.append(
+        MaxSegment(polygon, a, b) if right else MaxSegment(polygon, b, a)
+    )
     return SegmentDecomposition(tuple(segments))
 
 

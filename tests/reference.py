@@ -1,7 +1,8 @@
 """Reference checks that the tests run against the library.
 
 None of this runs in `nestpoly nest`: the shoelace area of a vertex list,
-point location by winding number, the three x-monotonicity checkers, a
+a multi-pass run scan that decompose must agree with, point location by
+winding number, the three x-monotonicity checkers, a
 segment's parity and the direct segment count behind it, an
 any-two-segments view of the sweep's vertical order, walks of the status
 treap that check its thread, the coordinate and Point/Edge views of a
@@ -19,7 +20,8 @@ import math
 from bisect import bisect_right
 from fractions import Fraction
 from functools import cmp_to_key
-from operator import attrgetter
+from itertools import compress
+from operator import attrgetter, gt, lt, ne, sub
 from typing import List, Optional, Sequence, Tuple
 
 import nestpoly.sweep
@@ -118,6 +120,47 @@ def y_at(segment: MaxSegment, xi) -> Coord:
     if isinstance(num, int) and isinstance(den, int):
         return _normalize(Fraction(num, den))
     return _normalize(Fraction(num) / Fraction(den))
+
+
+# --- Maximal segments by a multi-pass run scan ---------------------------------
+
+
+def scan_runs(polygon: Polygon) -> SegmentDecomposition:
+    """decompose's segments, found in separate passes over the x column.
+
+    One pass gives each edge's x-direction, the next the non-vertical edges,
+    the next the positions where the direction changes round the cycle;
+    each maximal cyclic run of one direction then yields one segment,
+    ordered by its first edge, with the index pair of its end vertices
+    (the lower one negative when the run passes vertex 0).
+    """
+    xs = polygon.xs
+    n = len(xs)
+    next_xs = xs[1:] + xs[:1]
+    # x-direction of edge i: 1 rightwards, -1 leftwards, 0 vertical.
+    dirs = list(map(sub, map(lt, xs, next_xs), map(gt, xs, next_xs)))
+    nonvert = list(compress(range(n), dirs))
+    assert nonvert, "polygon with non-vertical edges expected"
+    turns = list(compress(dirs, dirs))
+    # Position, among the non-vertical edges, of the first edge of each
+    # maximal cyclic run of equal x-direction.
+    run_starts = list(
+        compress(range(len(turns)), map(ne, turns, turns[-1:] + turns[:-1]))
+    )
+    segments = []
+    for r, k in enumerate(run_starts):
+        a = nonvert[k]
+        # Python's index -1 wraps the last run round to the first.
+        e = nonvert[run_starts[(r + 1) % len(run_starts)] - 1]
+        # Vertices a .. b = e + 1 along the cycle.
+        b = a + (e - a) % n + 1
+        if b >= n:
+            a, b = a - n, b - n
+        if turns[k] > 0:
+            segments.append(MaxSegment(polygon, a, b))
+        else:
+            segments.append(MaxSegment(polygon, b, a))
+    return SegmentDecomposition(tuple(segments))
 
 
 # --- Vertical order of two segments -------------------------------------------

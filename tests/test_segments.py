@@ -16,18 +16,12 @@ from nestpoly import (
     make_polygon,
     nesting_forest,
     parse_instance,
-    segments,
     transform,
     validate,
 )
 from nestpoly.errors import NestpolyError, OutOfDomain, ParityInconsistency
 from nestpoly.geometry import Edge, Point
-from nestpoly.segments import (
-    MaxSegment,
-    assign_parities,
-    decompose,
-    scan_runs,
-)
+from nestpoly.segments import MaxSegment, assign_parities, decompose
 
 from conftest import corpus_config, segments_of, square, top_bottom
 from reference import (
@@ -41,6 +35,7 @@ from reference import (
     parity,
     parity_oracle,
     satisfies_property_O,
+    scan_runs,
     segment_edges,
     span_edges,
 )
@@ -278,7 +273,7 @@ def test_random_cycles_against_validate():
     assert accepted > 500 and rejected > 500
 
 
-# The x-extreme split of decompose against the run scan ---------------------
+# decompose against the multi-pass run scan -----------------------------------
 
 
 def _load_workloads():
@@ -309,19 +304,6 @@ def columns(decomposition):
     ]
 
 
-@pytest.fixture
-def scanned(monkeypatch):
-    """The polygons that decompose hands to the run scan, in call order."""
-    calls = []
-
-    def counting(polygon):
-        calls.append(polygon)
-        return scan_runs(polygon)
-
-    monkeypatch.setattr(segments, "scan_runs", counting)
-    return calls
-
-
 def test_decompose_equals_run_scan():
     polygons = []
     for seed in range(200):
@@ -343,9 +325,54 @@ def test_decompose_equals_run_scan():
         assert columns(decompose(p)) == columns(scan_runs(p)), p
 
 
-# Cycles that decompose splits at their x-extremes, and cycles it must hand
-# to the run scan.
-SPLIT_CYCLES = {
+def comb(teeth):
+    """A comb of 4 * teeth + 2 vertices: a spine between x = 5 and 6 with
+    teeth reaching left to x = 0, each a leftward and a rightward run."""
+    width, top = 5, 3 * teeth
+    cycle = [(width + 1, 0), (width + 1, top), (0, top), (0, top - 1)]
+    for y in range(top - 1, 0, -3):
+        cycle += [(width, y), (width, y - 2)]
+        if y > 2:
+            cycle += [(0, y - 2), (0, y - 3)]
+    return cycle
+
+
+def large_cycles():
+    """(cycle, number of segments): convex n-gons for n = 4 .. 4096 and
+    combs of 22, 262 and 4102 vertices, each started at four vertices and
+    run both ways round."""
+    shapes = []
+    for n in (4 << k for k in range(11)):
+        # At a rotation of pi / n the extremes of x lie on vertical edges,
+        # one of them the wrap edge (n - 1, 0).
+        for rot in (math.pi / n, 0.1):
+            shapes.append((_near_regular_ngon(n, rot).vertices, 2))
+    shapes += [(comb(teeth), 2 * teeth) for teeth in (5, 65, 1025)]
+    for cycle, runs in shapes:
+        n = len(cycle)
+        for start in (0, 1, n // 3, n - 1):
+            turned = list(cycle[start:]) + list(cycle[:start])
+            yield turned, runs
+            yield turned[::-1], runs
+
+
+def test_decompose_equals_run_scan_on_large_polygons():
+    wrapped = 0
+    for cycle, runs in large_cycles():
+        p = make_polygon("L", cycle)
+        got = decompose(p)
+        assert len(got.segments) == runs, len(cycle)
+        assert columns(got) == columns(scan_runs(p)), len(cycle)
+        wrapped += min(min(s.first, s.last) for s in got.segments) < 0
+    # A run passes vertex 0 in 166 of the 200 cycles.
+    assert wrapped == 166
+
+
+# Hand cycles: the first group has two segments each, with an extreme of x
+# on a vertical edge (the wrap edge (n - 1, 0) included) or a vertical edge
+# inside a run; the second has three vertices at an extreme, an extreme at
+# two vertices apart, or a chain that is not monotone.
+TWO_SEGMENT_CYCLES = {
     "vertical edge at the min": [(2, 0), (4, 2), (2, 4), (0, 3), (0, 1)],
     "vertical edge at the max": [(0, 2), (2, 0), (4, 1), (4, 3), (2, 4)],
     "vertical min on the wrap edge": [(0, 3), (2, 4), (4, 2), (2, 0), (0, 1)],
@@ -355,7 +382,7 @@ SPLIT_CYCLES = {
     ],
     "bowtie": [(0, 0), (2, 2), (2, 0), (0, 2)],
 }
-SCANNED_CYCLES = {
+OTHER_CYCLES = {
     "three collinear at the min": [(0, 0), (4, 0), (4, 4), (0, 4), (0, 2)],
     "three collinear at the max": [(0, 0), (4, 0), (4, 2), (4, 4), (0, 4)],
     "min at two vertices apart": [(0, 0), (3, 2), (0, 4), (2, 2)],
@@ -365,21 +392,16 @@ SCANNED_CYCLES = {
 }
 
 
-def test_split_hand_cases(scanned):
-    for name, cycle in SPLIT_CYCLES.items():
+def test_split_hand_cases():
+    for name, cycle in {**TWO_SEGMENT_CYCLES, **OTHER_CYCLES}.items():
         p = make_polygon("P", cycle)
         got = decompose(p)
-        assert scanned == [], name
-        assert len(got.segments) == 2, name
         assert columns(got) == columns(scan_runs(p)), name
-    for name, cycle in SCANNED_CYCLES.items():
-        p = make_polygon("P", cycle)
-        assert columns(decompose(p)) == columns(scan_runs(p)), name
-        assert scanned == [p], name
-        scanned.clear()
+        if name in TWO_SEGMENT_CYCLES:
+            assert len(got.segments) == 2, name
     # The min-edge case, as two chains left to right: the upper chain's
     # first edge leaves vertex 1, the lower chain's leaves vertex 4.
-    p = make_polygon("P", SPLIT_CYCLES["vertical edge at the min"])
+    p = make_polygon("P", TWO_SEGMENT_CYCLES["vertical edge at the min"])
     assert [chain(s) for s in decompose(p).segments] == [
         ((0, 2, 4), (3, 4, 2)),
         ((0, 2, 4), (1, 0, 2)),
@@ -398,8 +420,8 @@ DECAGON = [
     (0, 3), (1, 1), (3, 1), (3, 0), (5, 1), (6, 3), (5, 5), (3, 6), (3, 5),
     (1, 5),
 ]
-NOT_MONOTONE = SCANNED_CYCLES["a chain not monotone"]
-WRAPPED_SPLITS = {
+NOT_MONOTONE = OTHER_CYCLES["a chain not monotone"]
+DECAGON_STARTS = {
     "rightward chain passes vertex 0": (
         DECAGON[3:] + DECAGON[:3], [(7, 2, 1), (-3, 2, 0)]
     ),
@@ -408,7 +430,7 @@ WRAPPED_SPLITS = {
     ),
     "leftward chain ends at vertex 0": (DECAGON, [(0, 5, 0), (0, -5, 1)]),
 }
-WRAPPED_SCANS = {
+NOT_MONOTONE_STARTS = {
     "rightward run passes vertex 0": (
         NOT_MONOTONE[1:] + NOT_MONOTONE[:1],
         [(2, 1, 1), (2, 3, 0), (5, 3, 1), (-1, 0, 0)],
@@ -420,27 +442,29 @@ WRAPPED_SCANS = {
 }
 
 
-def test_index_pairs_that_pass_vertex_0(scanned):
+def test_index_pairs_that_pass_vertex_0():
     # Every start vertex gives the same chains, read off the same columns.
     decagon_chains = sorted([
         ((0, 1, 3, 3, 5, 6), (3, 1, 1, 0, 1, 3)),
         ((0, 1, 3, 3, 5, 6), (3, 5, 5, 6, 5, 3)),
     ])
-    scan_chains = sorted([
+    not_monotone_chains = sorted([
         ((0, 6), (0, 0)), ((4, 6), (4, 4)), ((4, 5), (4, 2)),
         ((0, 1, 5), (4, 3, 2)),
     ])
-    for name, (cycle, want) in {**WRAPPED_SPLITS, **WRAPPED_SCANS}.items():
+    for name, (cycle, want) in {
+        **DECAGON_STARTS, **NOT_MONOTONE_STARTS
+    }.items():
         p = make_polygon("P", cycle)
         got = decompose(p)
         pairs = [(s.first, s.last, parity(s)) for s in got.segments]
         assert pairs == want, name
         assert columns(scan_runs(p)) == columns(got), name
-        split = name in WRAPPED_SPLITS
-        assert scanned == ([] if split else [p]), name
-        scanned.clear()
         chains = sorted(chain(s) for s in got.segments)
-        assert chains == (decagon_chains if split else scan_chains), name
+        want_chains = (
+            decagon_chains if name in DECAGON_STARTS else not_monotone_chains
+        )
+        assert chains == want_chains, name
 
 
 def test_segments_refer_to_their_polygon_without_copies():
@@ -504,14 +528,3 @@ def test_top_row_walk_accepts(cycle):
     deco = decompose(p)
     assert assign_parities(p, deco) is deco
 
-
-def test_split_selection_on_workloads(scanned):
-    # x-monotone cells never reach the run scan; notched squares always do.
-    for name in ("convex-grid", "quadtree-decimal"):
-        for p in small_workload_polygons(name):
-            decompose(p)
-        assert scanned == [], name
-    notched = small_workload_polygons("nested-notched")
-    for p in notched:
-        decompose(p)
-    assert scanned == notched

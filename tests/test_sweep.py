@@ -34,7 +34,7 @@ from nestpoly.sweep import (
 )
 
 from conftest import segments_of, square, top_bottom
-from test_segments import WRAPPED_SCANS, WRAPPED_SPLITS, _load_workloads
+from test_segments import DECAGON_STARTS, NOT_MONOTONE_STARTS, _load_workloads
 from reference import (
     CheckedStatus,
     InternalOrderViolation,
@@ -306,7 +306,7 @@ def test_cursor_walks_chains_that_pass_vertex_0():
     # Both steps, +1 and -1, along chains that pass vertex 0 and chains
     # that do not; the decagon's chains also pass over a vertical edge.
     shapes = set()
-    for cycle, _ in (*WRAPPED_SPLITS.values(), *WRAPPED_SCANS.values()):
+    for cycle, _ in (*DECAGON_STARTS.values(), *NOT_MONOTONE_STARTS.values()):
         for s in segments_of(make_polygon("P", cycle)):
             # (step is +1, passes vertex 0)
             shapes.add((s.last > s.first, min(s.first, s.last) < 0))
