@@ -145,12 +145,17 @@ class SweepStatus:
     Insertions compare lazily at the current abscissa, which must lie in
     the inserted segment's x-extent; deletions navigate by entry handle and
     need no comparisons, so no comparison is ever made where a leaving
-    segment's order could have become stale. An insert at the abscissa of
-    the one before it first tries the slot just below that entry, with at
-    most two comparisons: a polygon's chains that start at one vertex are
-    inserted one after the other, top to bottom. Otherwise it descends from
-    the root with _after's test written out. Either way the new entry goes
-    in as a leaf, threaded by up and down between the entries next to its
+    segment's order could have become stale. An insert first tries the
+    finger, the last insert or, once that leaves, the neighbour that took
+    its place: one comparison with the finger picks its side, and one with
+    the finger's neighbour there confirms the slot between them. A
+    polygon's chains that start at one vertex are inserted one after the
+    other, top to bottom, so at the previous insert's abscissa the finger
+    is always tried; at a new abscissa, only when the previous insert at a
+    new abscissa landed within two slots of its finger, so input whose
+    inserts land far apart pays for few misses. A miss descends from the
+    root with _after's test written out. Either way the new entry goes in
+    as a leaf, threaded by up and down between the entries next to its
     slot, and rotates up in one loop, which keeps the order; a remove
     unlinks its entry and joins its two subtrees by priority in one loop.
     """
@@ -160,7 +165,11 @@ class SweepStatus:
         self.xi = None
         self._draw = random.Random(0).random
         self._entries: Dict[MaxSegment, StatusEntry] = {}
-        self._last: Optional[StatusEntry] = None
+        # The last insert, or the neighbour that took its place on removal.
+        self._finger: Optional[StatusEntry] = None
+        # Whether the last insert at a new abscissa landed within two slots
+        # of its finger: whether to try the finger at the next new abscissa.
+        self._near = True
 
     def insert(self, segment: MaxSegment, xi) -> StatusEntry:
         entry = StatusEntry(segment, self._draw())
@@ -169,10 +178,13 @@ class SweepStatus:
         # Height of the new entry at xi as hn / hd, hd > 0.
         hd = entry.dx
         hn = entry.ay * hd + (xi - entry.ax) * entry.dy
-        cur = self.root
-        if cur is not None and (
-            xi != self.xi or not self._link_below_last(entry, hn, hd, xi)
+        finger = self._finger
+        new_x = xi != self.xi
+        if finger is not None and (
+            new_x and not self._near
+            or not self._link_at_finger(entry, hn, hd, xi)
         ):
+            cur = self.root
             while True:  # _after(entry, hn, hd, cur, xi), written out
                 if cur.end <= xi:
                     advance_current_edge(cur, xi)
@@ -194,10 +206,17 @@ class SweepStatus:
                         break
                     cur = cur.left
             entry.par = cur
-        if entry.up is not None:
-            entry.up.down = entry
-        if entry.down is not None:
-            entry.down.up = entry
+        up, down = entry.up, entry.down
+        if new_x:  # on an empty status finger and up are both None
+            self._near = (
+                finger is up or finger is down
+                or up is not None and finger is up.up
+                or down is not None and finger is down.down
+            )
+        if up is not None:
+            up.down = entry
+        if down is not None:
+            down.up = entry
         # Rotate the new leaf up while its priority is below its parent's.
         prio = entry.prio
         par = entry.par
@@ -222,33 +241,41 @@ class SweepStatus:
         if par is None:
             self.root = entry
         self.xi = xi
-        self._last = entry
+        self._finger = entry
         self._entries[segment] = entry
         return entry
 
-    def _link_below_last(self, entry: StatusEntry, hn, hd, xi) -> bool:
-        """Link entry right after the previous insert if it belongs there."""
-        prev = self._last
-        if prev is None or not _after(entry, hn, hd, prev, xi):
-            return False
-        succ = prev.down
-        if succ is not None and _after(entry, hn, hd, succ, xi):
-            return False
-        entry.up, entry.down = prev, succ
-        # succ, when prev has a right subtree, is its leftmost entry.
-        if prev.right is None:
-            prev.right = entry
-            entry.par = prev
+    def _link_at_finger(self, entry: StatusEntry, hn, hd, xi) -> bool:
+        """Link entry into a slot next to the finger if it belongs there.
+
+        One comparison with the finger picks the side, one with the
+        finger's neighbour on that side confirms the slot.
+        """
+        finger = self._finger
+        if _after(entry, hn, hd, finger, xi):
+            up, down = finger, finger.down
+            if down is not None and _after(entry, hn, hd, down, xi):
+                return False
         else:
-            succ.left = entry
-            entry.par = succ
+            up, down = finger.up, finger
+            if up is not None and not _after(entry, hn, hd, up, xi):
+                return False
+        entry.up, entry.down = up, down
+        # The slot is up's right link when up has no right subtree, and
+        # otherwise down's left: down is then that subtree's leftmost entry.
+        if up is not None and up.right is None:
+            up.right = entry
+            entry.par = up
+        else:
+            down.left = entry
+            entry.par = down
         return True
 
     def remove(self, segment: MaxSegment) -> None:
         node = self._entries.pop(segment)
-        if node is self._last:
-            self._last = None
         up, down = node.up, node.down
+        if node is self._finger:
+            self._finger = up if up is not None else down
         if up is not None:
             up.down = down
         if down is not None:
