@@ -8,11 +8,14 @@ interior lies above or below it) and its polygon id are read from those.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Tuple
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Tuple
 
 from .errors import ParityInconsistency
 from .geometry import Polygon, unscaled_point
+
+if TYPE_CHECKING:
+    from .sweep import StatusEntry
 
 
 @dataclass(eq=False, slots=True)
@@ -25,12 +28,15 @@ class MaxSegment:
     larger of first and last lies in [0, n) and the other may be negative:
     Python's negative indexing carries a chain round vertex 0. polygon is
     the Polygon that decompose was given; the columns, the id and the signed
-    twice_area are read from it.
+    twice_area are read from it. entry, set only while the segment is live
+    in a SweepStatus, is its StatusEntry there: the handle remove finds it
+    by. A segment is live in at most one status at a time.
     """
 
     polygon: Polygon
     first: int
     last: int
+    entry: StatusEntry = field(init=False, repr=False)
 
     @property
     def side(self) -> int:

@@ -123,48 +123,40 @@ def tie_break(a: Union[MaxSegment, StatusEntry], adx, ady,
     raise CoincidentSegments(a.polygon_id, b.polygon_id, xi)
 
 
-def _after(entry: StatusEntry, hn, hd, other: StatusEntry, xi) -> bool:
-    """Whether entry, of height hn / hd at xi, comes after other at xi.
-
-    The higher one comes first, and equal heights go to tie_break; the
-    descent in SweepStatus.insert writes this test out.
-    """
-    if other.end <= xi:
-        advance_current_edge(other, xi)
-    dx = other.dx
-    lhs = hn * dx
-    rhs = hd * (other.ay * dx + (xi - other.ax) * other.dy)
-    if lhs != rhs:
-        return lhs < rhs
-    return tie_break(entry, entry.dx, entry.dy, other, dx, other.dy, xi) > 0
-
-
 class SweepStatus:
     """Treap over the live segments, ordered top to bottom at the sweep x.
 
     Insertions compare lazily at the current abscissa, which must lie in
     the inserted segment's x-extent; deletions navigate by entry handle and
     need no comparisons, so no comparison is ever made where a leaving
-    segment's order could have become stale. An insert first tries the
-    finger, the last insert or, once that leaves, the neighbour that took
-    its place: one comparison with the finger picks its side, and one with
-    the finger's neighbour there confirms the slot between them. A
-    polygon's chains that start at one vertex are inserted one after the
-    other, top to bottom, so at the previous insert's abscissa the finger
-    is always tried; at a new abscissa, only when the previous insert at a
-    new abscissa landed within two slots of its finger, so input whose
-    inserts land far apart pays for few misses. A miss descends from the
-    root with _after's test written out. Either way the new entry goes in
-    as a leaf, threaded by up and down between the entries next to its
-    slot, and rotates up in one loop, which keeps the order; a remove
-    unlinks its entry and joins its two subtrees by priority in one loop.
+    segment's order could have become stale. An insert first walks the
+    up/down thread from the finger, the last insert or, once that leaves,
+    the neighbour that took its place. The height test with the finger
+    picks the side, each later test passes one more entry on that side,
+    and the first entry on the other side ends the walk, so both
+    neighbours of the slot are tested. A polygon's later chains tend to
+    enter near its earlier ones, its first chain anywhere: from a finger of
+    the inserted segment's own polygon the walk gives up after passing as
+    many entries as the live count has bits, from any other after one, so
+    the O(log N) bound holds. A polygon's chains that start at one vertex
+    are inserted one after the other, top to bottom, so at the previous
+    insert's abscissa the finger is always tried; at a new abscissa, only
+    when the previous insert at a new abscissa landed within two slots of
+    its finger, so input whose inserts land far apart pays for few misses.
+    Otherwise, or when the walk gives up, the insert descends from the
+    root. Either way the new entry goes in as a leaf, threaded by up and
+    down between the entries next to its slot, and rotates up in one loop,
+    which keeps the order. A remove takes its entry from the segment's
+    handle, MaxSegment.entry, unlinks it and joins its two subtrees by
+    priority in one loop. A segment is live in at most one status at a
+    time.
     """
 
     def __init__(self):
         self.root: Optional[StatusEntry] = None
         self.xi = None
         self._draw = random.Random(0).random
-        self._entries: Dict[MaxSegment, StatusEntry] = {}
+        self._live = 0  # live entries; its bit length bounds the walk
         # The last insert, or the neighbour that took its place on removal.
         self._finger: Optional[StatusEntry] = None
         # Whether the last insert at a new abscissa landed within two slots
@@ -185,7 +177,7 @@ class SweepStatus:
             or not self._link_at_finger(entry, hn, hd, xi)
         ):
             cur = self.root
-            while True:  # _after(entry, hn, hd, cur, xi), written out
+            while True:  # does entry come after cur at xi?
                 if cur.end <= xi:
                     advance_current_edge(cur, xi)
                 dx = cur.dx
@@ -242,24 +234,44 @@ class SweepStatus:
             self.root = entry
         self.xi = xi
         self._finger = entry
-        self._entries[segment] = entry
+        self._live += 1
+        segment.entry = entry
         return entry
 
     def _link_at_finger(self, entry: StatusEntry, hn, hd, xi) -> bool:
-        """Link entry into a slot next to the finger if it belongs there.
-
-        One comparison with the finger picks the side, one with the
-        finger's neighbour on that side confirms the slot.
-        """
-        finger = self._finger
-        if _after(entry, hn, hd, finger, xi):
-            up, down = finger, finger.down
-            if down is not None and _after(entry, hn, hd, down, xi):
-                return False
-        else:
-            up, down = finger.up, finger
-            if up is not None and not _after(entry, hn, hd, up, xi):
-                return False
+        """Link entry into the slot its walk from the finger finds, or
+        return False with nothing linked when the walk gives up."""
+        near = far = self._finger
+        below = None  # which side of the finger entry goes, once tested
+        steps = None  # how many more entries the walk may pass
+        while True:  # does entry come after far at xi?
+            if far.end <= xi:
+                advance_current_edge(far, xi)
+            dx = far.dx
+            lhs = hn * dx
+            rhs = hd * (far.ay * dx + (xi - far.ax) * far.dy)
+            after = lhs < rhs or lhs == rhs and tie_break(
+                entry, hd, entry.dy, far, dx, far.dy, xi
+            ) > 0
+            if below is None:
+                below = after
+            elif after is not below:
+                break
+            else:
+                if steps is None:  # near is still the finger
+                    steps = (
+                        self._live.bit_length()
+                        if near.segment.polygon is entry.segment.polygon
+                        else 1
+                    )
+                steps -= 1
+                if not steps:
+                    return False
+            near = far
+            far = near.down if below else near.up
+            if far is None:
+                break
+        up, down = (near, far) if below else (far, near)
         entry.up, entry.down = up, down
         # The slot is up's right link when up has no right subtree, and
         # otherwise down's left: down is then that subtree's leftmost entry.
@@ -272,7 +284,9 @@ class SweepStatus:
         return True
 
     def remove(self, segment: MaxSegment) -> None:
-        node = self._entries.pop(segment)
+        node = segment.entry
+        del segment.entry
+        self._live -= 1
         up, down = node.up, node.down
         if node is self._finger:
             self._finger = up if up is not None else down
@@ -444,6 +458,7 @@ def nesting_forest_with_stats(
         deco = assign_parities(poly, decompose(poly))
         segments.extend(deco.segments)
         n_vertices += len(poly.xs)
+    del seen  # not needed through the sweep
 
     n_segments = len(segments)
     try:

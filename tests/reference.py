@@ -3,7 +3,8 @@
 None of this runs in `nestpoly nest`: the shoelace area of a vertex list,
 a multi-pass run scan that decompose must agree with, point location by
 winding number, the three x-monotonicity checkers, a
-segment's parity and the direct segment count behind it, an
+segment's parity and the direct segment count behind it, the status's
+height test as one function, an
 any-two-segments view of the sweep's vertical order, walks of the status
 treap that check its thread, the coordinate and Point/Edge views of a
 segment that these checks read, the sweep's events as one sorted list, a
@@ -40,9 +41,9 @@ from nestpoly.sweep import (
     Event,
     StatusEntry,
     SweepStatus,
-    _after,
     _cmp_shared_start,
     advance_current_edge,
+    tie_break,
 )
 
 
@@ -175,8 +176,24 @@ class Rel(enum.Enum):
 def height_num(entry: StatusEntry, xi):
     """Height of entry's current edge at xi, times entry.dx: the formula
     SweepStatus.insert uses for the new entry, and _after and the insert's
-    inline descent use for each entry they compare it with."""
+    walk and descent use for each entry they compare it with."""
     return entry.ay * entry.dx + (xi - entry.ax) * entry.dy
+
+
+def _after(entry: StatusEntry, hn, hd, other: StatusEntry, xi) -> bool:
+    """Whether entry, of height hn / hd at xi, comes after other at xi.
+
+    The higher one comes first, and equal heights go to tie_break: the
+    test that SweepStatus.insert's walk and descent write out.
+    """
+    if other.end <= xi:
+        advance_current_edge(other, xi)
+    dx = other.dx
+    lhs = hn * dx
+    rhs = hd * (other.ay * dx + (xi - other.ax) * other.dy)
+    if lhs != rhs:
+        return lhs < rhs
+    return tie_break(entry, entry.dx, entry.dy, other, dx, other.dy, xi) > 0
 
 
 def cmp_at(xi, a: MaxSegment, b: MaxSegment) -> Rel:

@@ -469,11 +469,13 @@ def test_index_pairs_that_pass_vertex_0():
 
 def test_segments_refer_to_their_polygon_without_copies():
     # A segment holds its polygon and two indices into its columns, and
-    # reads its parity and polygon id from them. On the notched squares,
-    # one edge per segment, segments that copied their chain's two columns
-    # kept 238 bytes each on CPython 3.11, segments that also stored parity
-    # and polygon id kept 127, and these keep 111.
-    assert MaxSegment.__slots__ == ("polygon", "first", "last")
+    # reads its parity and polygon id from them; one more slot holds its
+    # status entry while it is live. On the notched squares, one edge per
+    # segment, segments that copied their chain's two columns kept 238
+    # bytes each on CPython 3.11, segments that also stored parity and
+    # polygon id kept 127, and these kept 111 before the entry slot. The
+    # slot adds 8 bytes: 80 -> 88 on CPython 3.11.7, measured alone.
+    assert MaxSegment.__slots__ == ("polygon", "first", "last", "entry")
     make_small = _load_workloads()["nested-notched"].make_small
     polygons = parse_instance(make_small(1).to_json())
     for p in polygons:

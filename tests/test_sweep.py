@@ -214,7 +214,10 @@ def test_status_remove_keeps_order(nested_squares):
     status.remove(top_i)
     status.remove(bot_i)
     assert [e.segment for e in status_order(status)] == [top_o, bot_o]
-    assert len(status._entries) == 2
+    # The leaving segments drop their handles; the others keep theirs.
+    assert not hasattr(top_i, "entry") and not hasattr(bot_i, "entry")
+    assert [top_o.entry, bot_o.entry] == status_order(status)
+    _check_treap(status)
 
 
 def test_checked_status_catches_swapped_entries(nested_squares):
@@ -502,14 +505,14 @@ def test_layers_accept_fraction_polygons(small_corpus):
         assert parent == nesting_forest(polygons).parent
 
 
-# Finger insertion: an insert first tries the two slots next to the finger,
-# the last insert or the neighbour that took its place on removal; at a new
+# Finger insertion: an insert first walks the thread from the finger, the
+# last insert or the neighbour that took its place on removal; at a new
 # abscissa, only when the previous new-abscissa insert landed near its finger.
 
 
 def _check_treap(status):
-    """Parent links, heap order on priorities, the size, the finger and the
-    up/down thread all agree."""
+    """Parent links, heap order on priorities, the live count, the finger,
+    the segments' entry handles and the up/down thread all agree."""
     count = 0
     stack = [(status.root, None)]
     while stack:
@@ -521,11 +524,21 @@ def _check_treap(status):
         if par is not None:
             assert par.prio <= node.prio
         stack.extend(((node.left, node), (node.right, node)))
-    assert count == len(status._entries)
-    # The finger is a live entry, and None only when the status is empty.
+    # The finger is a live entry, and None only when the status is empty:
+    # the thread, walked both ways from it, holds every entry of the treap,
+    # and each is its segment's handle.
     finger = status._finger
     assert (finger is None) == (count == 0)
-    assert finger is None or status._entries[finger.segment] is finger
+    live = []
+    if finger is not None:
+        top = finger
+        while top.up is not None:
+            top = top.up
+        while top is not None:
+            live.append(top)
+            top = top.down
+    assert len(live) == count == status._live
+    assert all(entry.segment.entry is entry for entry in live)
     check_thread(status)
 
 
@@ -707,11 +720,13 @@ def test_descent_advances_the_cursor_of_an_entry_it_passes(monkeypatch):
             status.insert(ev.segment, ev.xi)
         else:
             status.remove(ev.segment)
-    e_bottom = status._entries[o_bottom]
+    e_bottom = o_bottom.entry
     assert abs(e_bottom.cursor - o_bottom.first) == 0
-    # The gate is closed, so the finger is not tried: _after is never called.
-    monkeypatch.setattr(nestpoly.sweep, "_after", None)
+    # The gate is closed, so the finger is not tried: the descent moves the
+    # cursor.
+    hits = _spy_on_the_finger(monkeypatch)
     status.insert(i_top, 5)
+    assert hits == []
     assert (
         abs(e_bottom.cursor - o_bottom.first), e_bottom.ay, e_bottom.end
     ) == (2, -4, 8)
@@ -737,48 +752,113 @@ def _spy_on_the_finger(monkeypatch):
     return hits
 
 
-def test_only_the_finger_calls_after(monkeypatch):
-    # The descent compares inline: _after serves the finger alone. One call
-    # picks the finger's side and a second, with the finger's neighbour on
-    # that side, confirms the slot, so a try that misses makes both.
-    inst = _load_workloads()["nested-notched"].make_small(1)
-    polygons = parse_instance(inst.to_json())
-    callers = []
-    tries = []  # (placed, _after calls) for each try of the finger
-    original = nestpoly.sweep._after
+def _count_height_tests(monkeypatch):
+    """Count the status's height tests: each reads the entry's end once.
+
+    Entries are made as a subclass whose end is a counting property over
+    StatusEntry's slot. Returns the one-element list that holds the count.
+    """
+    count = [0]
+    slot = StatusEntry.end
+
+    class Counted(StatusEntry):
+        __slots__ = ()
+
+        @property
+        def end(self):
+            count[0] += 1
+            return slot.__get__(self)
+
+        @end.setter
+        def end(self, value):
+            slot.__set__(self, value)
+
+    monkeypatch.setattr(nestpoly.sweep, "StatusEntry", Counted)
+    return count
+
+
+def _record_walks(monkeypatch):
+    """Record each try of the finger as (placed, tests, bound, passed).
+
+    bound is the number of entries the walk may pass: the live count's bit
+    length from a finger of the inserted segment's own polygon, 1 from any
+    other. passed is the number of entries between the finger and the new
+    entry once the insert has placed it, by the walk or by the descent.
+    """
+    tests = _count_height_tests(monkeypatch)
+    walks = []
+    insert = SweepStatus.insert
     link = SweepStatus._link_at_finger
 
-    def counted(*args):
-        callers.append(sys._getframe(1).f_code.co_name)
-        return original(*args)
-
-    def spy(self, *args):
-        before = len(callers)
-        placed = link(self, *args)
-        tries.append((placed, len(callers) - before))
+    def spy_link(self, entry, *args):
+        before = tests[0]
+        placed = link(self, entry, *args)
+        walks.append([placed, tests[0] - before])
         return placed
 
-    monkeypatch.setattr(nestpoly.sweep, "_after", counted)
-    monkeypatch.setattr(SweepStatus, "_link_at_finger", spy)
+    def spy_insert(self, segment, xi):
+        finger, live, tries = self._finger, self._live, len(walks)
+        entry = insert(self, segment, xi)
+        if len(walks) > tries:
+            own = finger.segment.polygon is segment.polygon
+            passed = _passed(finger, entry, "down")
+            if passed is None:
+                passed = _passed(finger, entry, "up")
+            walks[-1] += [live.bit_length() if own else 1, passed]
+        return entry
+
+    monkeypatch.setattr(SweepStatus, "_link_at_finger", spy_link)
+    monkeypatch.setattr(SweepStatus, "insert", spy_insert)
+    return walks
+
+
+def _passed(finger, entry, way):
+    """Entries strictly between finger and entry, going way from finger;
+    None when entry does not lie that way."""
+    passed, cur = 0, getattr(finger, way)
+    while cur is not None and cur is not entry:
+        passed += 1
+        cur = getattr(cur, way)
+    return passed if cur is entry else None
+
+
+@pytest.mark.parametrize("name", ["convex-grid", "nested-notched",
+                                  "quadtree-decimal"])
+def test_walk_passes_at_most_its_bound(monkeypatch, name):
+    # A try tests the finger, then one entry per entry it passes, then the
+    # entry that ends the walk unless the thread ends first. A try that
+    # places its entry passed fewer entries than its bound, and one that
+    # gives up passed exactly its bound: the descent then finds the slot at
+    # least that far away.
+    inst = _load_workloads()[name].make_small(1)
+    polygons = parse_instance(inst.to_json())
+    walks = _record_walks(monkeypatch)
     assert nesting_forest(polygons).parent == inst.parent
-    assert set(callers) == {"_link_at_finger"}
-    assert sum(calls for _, calls in tries) == len(callers)
-    assert {calls for _, calls in tries} <= {1, 2}
-    assert {calls for placed, calls in tries if not placed} == {2}
+    assert any(placed for placed, *_ in walks)
+    assert any(not placed for placed, *_ in walks)
+    for placed, tests, bound, passed in walks:
+        assert tests <= bound + 1
+        if placed:
+            assert passed < bound
+            assert tests - passed in (1, 2)
+        else:
+            assert passed >= bound
+            assert tests == bound + 1
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_finger_places_most_inserts_on_nested_notched(monkeypatch, seed):
-    # Root descents are the inserts the finger does not place: 10, 8 and 13
-    # of 96 on seeds 1-3. With the finger tried only at the previous
-    # insert's abscissa they were 39, 37 and 37.
+    # Root descents are the inserts the finger does not place: 3, 3 and 5
+    # of 96 on seeds 1-3. With a try that tested the finger's neighbour
+    # only they were 10, 8 and 13, and with the finger tried only at the
+    # previous insert's abscissa 39, 37 and 37.
     inst = _load_workloads()["nested-notched"].make_small(seed)
     polygons = parse_instance(inst.to_json())
     hits = _spy_on_the_finger(monkeypatch)
     # CheckedStatus, a SweepStatus, also checks every slot the finger finds.
     assert checked_forest(polygons).parent == inst.parent
     inserts = len(all_segments(polygons))
-    assert inserts - sum(hits) <= inserts // 6
+    assert inserts - sum(hits) <= inserts // 16
 
 
 def test_finger_passes_to_a_neighbour_on_removal(monkeypatch):
@@ -809,7 +889,7 @@ def test_finger_passes_to_a_neighbour_on_removal(monkeypatch):
     del hits[:]
     e = run(status, [(q_top, 4), (q_bot, 4)])
     assert hits == [True, True]
-    assert e[q_top].up is status._entries[o_top]
+    assert e[q_top].up is o_top.entry
     assert [x.segment for x in status_order(status)] == [
         o_top, q_top, q_bot, o_bot
     ]
@@ -828,10 +908,95 @@ def test_finger_passes_to_a_neighbour_on_removal(monkeypatch):
     del hits[:]
     e = run(status, [(c_top, 2), (c_bot, 2)])
     assert hits == [True, True]
-    assert e[c_bot].down is status._entries[a_top]
+    assert e[c_bot].down is a_top.entry
     assert [x.segment for x in status_order(status)] == [
         c_top, c_bot, a_top, a_bot
     ]
+
+
+def _bars(n, y0):
+    """n rectangles over x = 0 .. 100, stacked from y0 up, one unit apart."""
+    return [
+        make_polygon(f"F{i}", [(0, y), (100, y), (100, y + 1), (0, y + 1)])
+        for i, y in enumerate(range(y0, y0 + 2 * n, 2))
+    ]
+
+
+@pytest.mark.parametrize("way", ["down", "up"])
+def test_walk_reaches_every_slot_within_its_bound(monkeypatch, way):
+    # P holds a stack of 8 nested squares. At x = 50 the finger is one of
+    # P's chains with k of the squares' chains live between it and P's
+    # other chain, and bars above P fill the status up to 31 live entries,
+    # 5 bits. Inserting P's other chain walks to its slot for k < 5 and
+    # falls back to the descent from k = 5 on, in either direction.
+    p_top, p_bot = top_bottom(square("P", 0, 0, 100))
+    stack = [top_bottom(square(f"Q{j}", j, j, 100 - 2 * j)) for j in range(1, 9)]
+    between = [t for t, _ in stack] + [b for _, b in stack[::-1]]
+    bars = [s for bar in _bars(15, 102)[::-1] for s in top_bottom(bar)]
+    finger, other = (p_top, p_bot) if way == "down" else (p_bot, p_top)
+    walks = _record_walks(monkeypatch)
+    for k in range(len(between) + 1):
+        fill = bars[len(bars) - 30 + k:]
+        status = SweepStatus()
+        for seg in fill + between[:k] + [finger]:
+            status.insert(seg, 50)
+        assert status._finger is finger.entry and status._live == 31
+        status.insert(other, 50)
+        _check_treap(status)
+        assert status_order(status) == [
+            s.entry for s in fill + [p_top] + between[:k] + [p_bot]
+        ]
+        # The walk tests the finger and each entry it passes; going up, the
+        # bars end a walk that places its entry with one more test.
+        placed = k < 5
+        tests = 1 + k + (way == "up") if placed else 6
+        assert walks[-1] == [placed, tests, 5, k]
+
+    # From a finger of another polygon the walk passes no entry: with one
+    # square's top chain between Q1's and P's bottom chain, it gives up.
+    status = SweepStatus()
+    for seg in (p_top, stack[1][0], stack[0][0]):
+        status.insert(seg, 50)
+    status.insert(p_bot, 50)
+    assert walks[-1] == [False, 2, 1, 1]
+    _check_treap(status)
+
+
+def test_a_segment_finds_its_entry_by_its_handle(nested_squares):
+    o, _ = nested_squares
+    top, bottom = top_bottom(o)
+    first = SweepStatus()
+    old = first.insert(top, 0)
+    assert top.entry is old
+    first.insert(bottom, 0)
+    first.remove(bottom)
+    assert not hasattr(bottom, "entry")
+    # A status dropped with top still live in it leaves top's handle behind;
+    # a fresh status gives top a new one when top enters it.
+    del first
+    second = SweepStatus()
+    new = second.insert(top, 0)
+    assert top.entry is new and new is not old
+    second.insert(bottom, 0)
+    _check_treap(second)
+    second.remove(top)
+    assert not hasattr(top, "entry")
+    assert status_order(second) == [bottom.entry]
+    _check_treap(second)
+
+
+def test_walk_counts_on_nested_notched_at_full_size(monkeypatch):
+    # Exact on seed 1, since the treap's priorities are seeded: 414 of
+    # 16,000 inserts descend from the root, and the walks and descents make
+    # 39,458 height tests. A try that tested the finger's neighbour only
+    # left 2,052 descents and 59,940 tests.
+    inst = _load_workloads()["nested-notched"].make(1)
+    polygons = parse_instance(inst.to_json())
+    tests = _count_height_tests(monkeypatch)
+    hits = _spy_on_the_finger(monkeypatch)
+    assert nesting_forest(polygons).parent == inst.parent
+    assert 16000 - sum(hits) <= 450
+    assert tests[0] <= 42000
 
 
 def test_side_is_read_once_per_entry_and_tie_outside_the_sweep(monkeypatch):
