@@ -138,30 +138,21 @@ class SweepStatus:
     enter near its earlier ones, its first chain anywhere: from a finger of
     the inserted segment's own polygon the walk gives up after passing as
     many entries as the live count has bits, from any other after one, so
-    the O(log N) bound holds. A polygon's chains that start at one vertex
-    are inserted one after the other, top to bottom, so at the previous
-    insert's abscissa the finger is always tried; at a new abscissa, only
-    when the previous insert at a new abscissa landed within two slots of
-    its finger, so input whose inserts land far apart pays for few misses.
-    Otherwise, or when the walk gives up, the insert descends from the
-    root. Either way the new entry goes in as a leaf, threaded by up and
-    down between the entries next to its slot, and rotates up in one loop,
-    which keeps the order. A remove takes its entry from the segment's
-    handle, MaxSegment.entry, unlinks it and joins its two subtrees by
-    priority in one loop. A segment is live in at most one status at a
-    time.
+    the O(log N) bound holds. Every insert into a non-empty status tries
+    the finger, and descends from the root when the walk gives up. Either
+    way the new entry goes in as a leaf, threaded by up and down between
+    the entries next to its slot, and rotates up in one loop, which keeps
+    the order. A remove takes its entry from the segment's handle,
+    MaxSegment.entry, unlinks it and joins its two subtrees by priority in
+    one loop. A segment is live in at most one status at a time.
     """
 
     def __init__(self):
         self.root: Optional[StatusEntry] = None
-        self.xi = None
         self._draw = random.Random(0).random
         self._live = 0  # live entries; its bit length bounds the walk
         # The last insert, or the neighbour that took its place on removal.
         self._finger: Optional[StatusEntry] = None
-        # Whether the last insert at a new abscissa landed within two slots
-        # of its finger: whether to try the finger at the next new abscissa.
-        self._near = True
 
     def insert(self, segment: MaxSegment, xi) -> StatusEntry:
         entry = StatusEntry(segment, self._draw())
@@ -170,11 +161,8 @@ class SweepStatus:
         # Height of the new entry at xi as hn / hd, hd > 0.
         hd = entry.dx
         hn = entry.ay * hd + (xi - entry.ax) * entry.dy
-        finger = self._finger
-        new_x = xi != self.xi
-        if finger is not None and (
-            new_x and not self._near
-            or not self._link_at_finger(entry, hn, hd, xi)
+        if self._finger is not None and not self._link_at_finger(
+            entry, hn, hd, xi
         ):
             cur = self.root
             while True:  # does entry come after cur at xi?
@@ -199,12 +187,6 @@ class SweepStatus:
                     cur = cur.left
             entry.par = cur
         up, down = entry.up, entry.down
-        if new_x:  # on an empty status finger and up are both None
-            self._near = (
-                finger is up or finger is down
-                or up is not None and finger is up.up
-                or down is not None and finger is down.down
-            )
         if up is not None:
             up.down = entry
         if down is not None:
@@ -232,7 +214,6 @@ class SweepStatus:
         entry.par = par
         if par is None:
             self.root = entry
-        self.xi = xi
         self._finger = entry
         self._live += 1
         segment.entry = entry
