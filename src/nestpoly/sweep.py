@@ -139,12 +139,13 @@ class SweepStatus:
     the inserted segment's own polygon the walk gives up after passing as
     many entries as the live count has bits, from any other after one, so
     the O(log N) bound holds. Every insert into a non-empty status tries
-    the finger, and descends from the root when the walk gives up. Either
-    way the new entry goes in as a leaf, threaded by up and down between
-    the entries next to its slot, and rotates up in one loop, which keeps
-    the order. A remove takes its entry from the segment's handle,
-    MaxSegment.entry, unlinks it and joins its two subtrees by priority in
-    one loop. A segment is live in at most one status at a time.
+    the finger, and descends from the root when the walk gives up. The walk
+    and the descent only find the slot's two neighbours, up and down; one
+    step then hangs the new entry there as a leaf, threads it between them
+    and rotates it up in one loop, which keeps the order. A remove takes
+    its entry from the segment's handle, MaxSegment.entry, unlinks it and
+    joins its two subtrees by priority in one loop. A segment is live in at
+    most one status at a time.
     """
 
     def __init__(self):
@@ -161,11 +162,14 @@ class SweepStatus:
         # Height of the new entry at xi as hn / hd, hd > 0.
         hd = entry.dx
         hn = entry.ay * hd + (xi - entry.ax) * entry.dy
-        if self._finger is not None and not self._link_at_finger(
+        if self._finger is None or not self._link_at_finger(
             entry, hn, hd, xi
         ):
+            # Descend from the root: up is the last entry it goes right of,
+            # down the last it goes left of.
+            up = down = None
             cur = self.root
-            while True:  # does entry come after cur at xi?
+            while cur is not None:  # does entry come after cur at xi?
                 if cur.end <= xi:
                     advance_current_edge(cur, xi)
                 dx = cur.dx
@@ -174,26 +178,28 @@ class SweepStatus:
                 if lhs < rhs or lhs == rhs and tie_break(
                     entry, hd, entry.dy, cur, dx, cur.dy, xi
                 ) > 0:
-                    if cur.right is None:
-                        cur.right = entry
-                        entry.up, entry.down = cur, cur.down
-                        break
-                    cur = cur.right
+                    up, cur = cur, cur.right
                 else:
-                    if cur.left is None:
-                        cur.left = entry
-                        entry.up, entry.down = cur.up, cur
-                        break
-                    cur = cur.left
-            entry.par = cur
+                    down, cur = cur, cur.left
+            entry.up, entry.down = up, down
+        # Hang the new leaf in the slot between up and down: up's right link
+        # when up has no right subtree, and otherwise down's left, since down
+        # is then that subtree's leftmost entry. Thread it between the two.
         up, down = entry.up, entry.down
+        if up is not None and up.right is None:
+            par = up
+            up.right = entry
+        elif down is not None:
+            par = down
+            down.left = entry
+        else:
+            par = None
         if up is not None:
             up.down = entry
         if down is not None:
             down.up = entry
         # Rotate the new leaf up while its priority is below its parent's.
         prio = entry.prio
-        par = entry.par
         while par is not None and prio < par.prio:
             grand = par.par
             if par.left is entry:
@@ -220,8 +226,9 @@ class SweepStatus:
         return entry
 
     def _link_at_finger(self, entry: StatusEntry, hn, hd, xi) -> bool:
-        """Link entry into the slot its walk from the finger finds, or
-        return False with nothing linked when the walk gives up."""
+        """Set entry's up and down to the neighbours of the slot its walk
+        from the finger finds, or return False with neither set when the
+        walk gives up."""
         near = far = self._finger
         below = None  # which side of the finger entry goes, once tested
         steps = None  # how many more entries the walk may pass
@@ -252,16 +259,7 @@ class SweepStatus:
             far = near.down if below else near.up
             if far is None:
                 break
-        up, down = (near, far) if below else (far, near)
-        entry.up, entry.down = up, down
-        # The slot is up's right link when up has no right subtree, and
-        # otherwise down's left: down is then that subtree's leftmost entry.
-        if up is not None and up.right is None:
-            up.right = entry
-            entry.par = up
-        else:
-            down.left = entry
-            entry.par = down
+        entry.up, entry.down = (near, far) if below else (far, near)
         return True
 
     def remove(self, segment: MaxSegment) -> None:

@@ -1,14 +1,17 @@
 """Seeded instance generator: determinism, validity, touching, transform."""
 
+import sys
 from fractions import Fraction
 
 import pytest
 
+import nestpoly.generator
 from nestpoly import (
     GenConfig,
     brute_force_forest,
     generate,
     make_polygon,
+    nesting_forest,
     serialize_instance,
     transform,
     validate,
@@ -69,6 +72,32 @@ def test_shape_mix_subsets():
         )
         polygons = generate(cfg)
         assert validate(polygons).ok
+
+
+@pytest.mark.parametrize("seed", [1, 3])
+def test_star_keeps_one_point_per_direction(monkeypatch, seed):
+    # Two of a star's points on one ray from its centre compare equal in
+    # _make_star's scan; the farther is kept, so the cycle stays simple.
+    seen = []
+    half_cmp = nestpoly.generator._half_cmp
+
+    def spy(a, b):
+        result = half_cmp(a, b)
+        if sys._getframe(1).f_code.co_name == "_make_star":
+            seen.append(result)
+        return result
+
+    monkeypatch.setattr(nestpoly.generator, "_half_cmp", spy)
+    cfg = GenConfig(
+        seed=seed, n_roots=4, max_depth=2, shape_mix={"star": 1},
+        coordinate_span=1000,
+    )
+    polygons = generate(cfg)
+    assert 0 in seen
+    assert validate(polygons).ok
+    assert nesting_forest(polygons).parent == (
+        brute_force_forest(polygons).parent
+    )
 
 
 def test_config_validation():

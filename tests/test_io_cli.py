@@ -858,8 +858,12 @@ def test_cli_gen_shapes_naming_no_shape(capsys):
         (["--depth", "3", "--children-min", "5", "--children-max", "5",
           "--span", "200"],
          "no room for 5 children at depth 2; increase coordinate_span"),
+        # 3 children fit at this span; 4 fail the width check.
+        (["--depth", "1", "--children-min", "4", "--children-max", "4",
+          "--shapes", "convex", "--span", "100"],
+         "no room for 4 children at depth 1; increase coordinate_span"),
     ],
-    ids=["roots", "children"],
+    ids=["roots", "children", "children-width"],
 )
 def test_cli_gen_generation_failed_exit_1(capsys, flags, message):
     assert main(["gen"] + flags) == 1
