@@ -14,8 +14,8 @@ import math
 import random
 from dataclasses import dataclass
 from functools import cmp_to_key
-from itertools import chain, compress, count
-from operator import and_, eq
+from itertools import chain, compress, count, pairwise, starmap
+from operator import eq
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from .errors import CoincidentSegments, OutOfDomain, SemanticError
@@ -317,11 +317,11 @@ class Event:
 
 @dataclass(slots=True)
 class SweepEvents:
-    """One insert and one remove per segment, merged as they are read.
+    """One insert and one remove per segment, in two sorted lists.
 
-    Events come by abscissa, removes first at each one. merge() yields each
-    as a plain tuple; iterating wraps each tuple in an Event, and marks the
-    first insert of each polygon with first=True.
+    Events come by abscissa, removes first at each one; the sweep walks the
+    two lists in that order itself. merge() yields it as plain tuples, and
+    iterating wraps each in an Event and marks each polygon's first insert.
     """
 
     removes: List[MaxSegment]  # by right x
@@ -372,19 +372,19 @@ _start_key = cmp_to_key(_cmp_shared_start)
 
 def build_events(segments: Sequence[MaxSegment]) -> SweepEvents:
     """The sweep's events: removes by right x, inserts by start point."""
-    removes = sorted(segments, key=lambda s: s.polygon.xs[s.last])
-    # A segment inserted at x starts there, at its first vertex's y: two
-    # stable sorts order the inserts by x, then top to bottom. Only runs that
-    # share a start point go to tie_break: a key for every segment would
-    # keep two new objects per segment alive, and set off a full GC.
-    inserts = sorted(
-        segments, key=lambda s: s.polygon.ys[s.first], reverse=True
-    )
-    inserts.sort(key=lambda s: s.polygon.xs[s.first])
-    xs = [s.polygon.xs[s.first] for s in inserts]
-    ys = [s.polygon.ys[s.first] for s in inserts]
-    # i when segment i starts where segment i - 1 does; -1 ends the last run.
-    same = map(and_, map(eq, xs[1:], xs), map(eq, ys[1:], ys))
+    # A segment inserted at x starts there, at its first vertex's y. On the
+    # int columns, with w above the spread of those ys, the int key x * w - y
+    # orders the starts by x, then top to bottom; equal keys share a start.
+    ys = [s.polygon.ys[s.first] for s in segments]
+    w = max(ys, default=0) - min(ys, default=0) + 1
+    del ys  # neither ys nor the removes are alive in the inserts' sort
+
+    def start(s: MaxSegment) -> int:
+        return s.polygon.xs[s.first] * w - s.polygon.ys[s.first]
+    inserts = sorted(segments, key=start)
+    # Runs that share a start point go to tie_break once the lazy keys pass
+    # them; i when segment i starts where segment i - 1 does, -1 at the end.
+    same = starmap(eq, pairwise(map(start, inserts)))
     lo = hi = 0
     for i in chain(compress(count(1), same), (-1,)):
         if i != hi:
@@ -395,6 +395,7 @@ def build_events(segments: Sequence[MaxSegment]) -> SweepEvents:
                 inserts[lo:hi] = sorted(inserts[lo:hi], key=_start_key)
             lo = i - 1
         hi = i + 1
+    removes = sorted(segments, key=lambda s: s.polygon.xs[s.last])
     return SweepEvents(removes, inserts)
 
 
@@ -457,11 +458,13 @@ def _sweep(events: SweepEvents) -> Dict[str, Optional[str]]:
     status = SweepStatus()
     insert, remove = status.insert, status.remove
     parent: Dict[str, Optional[str]] = {}
-
-    for segment, x, inserting in events.merge():
-        if not inserting:
-            remove(segment)
-            continue
+    removes, k = events.removes, 0  # removes[k] is the next remove
+    for segment in events.inserts:  # in merge()'s order, with no tuples
+        x = segment.polygon.xs[segment.first]
+        # The last remove is right of every insert: removes cannot run out.
+        while (r := removes[k]).polygon.xs[r.last] <= x:
+            remove(r)
+            k += 1
         up = insert(segment, x).up
         pid = segment.polygon.id
         if pid not in parent:  # the polygon's first segment
@@ -471,4 +474,6 @@ def _sweep(events: SweepEvents) -> Dict[str, Optional[str]]:
                 parent[pid] = up.segment.polygon.id
             else:
                 parent[pid] = parent[up.segment.polygon.id]
+    for r in removes[k:]:
+        remove(r)
     return parent

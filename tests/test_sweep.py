@@ -31,6 +31,7 @@ from nestpoly.geometry import Polygon
 from nestpoly.segments import MaxSegment, decompose
 from nestpoly.sweep import (
     StatusEntry,
+    SweepStats,
     SweepStatus,
     advance_current_edge,
     build_events,
@@ -42,6 +43,7 @@ from reference import (
     CheckedStatus,
     InternalOrderViolation,
     Rel,
+    _forest_with,
     chain,
     check_thread,
     checked_forest,
@@ -124,6 +126,101 @@ def test_build_events_matches_event_list(small_corpus):
             for s, x, inserting in events.merge()
         ]
         assert merged == [fields[:3] for fields in expected]
+
+
+def test_empty_input_gives_an_empty_forest_and_no_events():
+    forest, stats = nesting_forest_with_stats([])
+    assert forest.parent == {}
+    assert stats == SweepStats(0, 0, 0, 0)
+    events = build_events([])
+    assert len(events) == 0
+    assert list(events) == [] and list(events.merge()) == []
+
+
+def _status_calls(polygons):
+    """(events.merge() of one nesting_forest call, and the status calls its
+    sweep made), each as (segment, x, inserting); a remove's x is its
+    segment's right end."""
+    merged, calls = [], []
+    build = nestpoly.sweep.build_events
+
+    def spy(segments):
+        events = build(segments)
+        merged.extend(events.merge())
+        return events
+
+    class RecordingStatus(SweepStatus):
+        def insert(self, segment, xi):
+            calls.append((segment, xi, True))
+            return super().insert(segment, xi)
+
+        def remove(self, segment):
+            calls.append((segment, segment.polygon.xs[segment.last], False))
+            super().remove(segment)
+
+    forest = _forest_with(
+        polygons, SweepStatus=RecordingStatus, build_events=spy
+    )
+    assert forest.parent == nesting_forest(polygons).parent
+    return merged, calls
+
+
+def test_sweep_walks_the_events_in_merge_order(small_corpus):
+    # The sweep walks the two event lists itself; its calls to the status
+    # must come in merge()'s order, each remove before every insert at or
+    # right of its right end.
+    workloads = _load_workloads()
+    instances = small_corpus + _shared_starts() + [
+        parse_instance(workloads[name].make_small(seed).to_json())
+        for name in ("convex-grid", "nested-notched", "quadtree-decimal")
+        for seed in (1, 2, 3)
+    ]
+    for polygons in instances:
+        merged, calls = _status_calls(polygons)
+        assert len(calls) == 2 * len(all_segments(polygons))
+        assert [(id(s), x, ins) for s, x, ins in calls] == [
+            (id(s), x, ins) for s, x, ins in merged
+        ]
+
+
+def _swept_segments(polygons):
+    """The segments nesting_forest sweeps: every polygon over the least
+    common multiple of their denominators."""
+    scale = math.lcm(*(p.denominator for p in polygons))
+    return all_segments([p.over(scale) for p in polygons])
+
+
+def _starts_on_one_line():
+    # Every segment starts on y = 0, so the insert key's w is 1: the apex
+    # fan, a triangle with a smaller one on its apex, and a diamond.
+    return [
+        *_apex_fan(),
+        make_polygon("P", [(10, 0), (20, -5), (20, 5)]),
+        make_polygon("Q", [(10, 0), (15, -1), (15, 1)]),
+        make_polygon("R", [(30, 0), (31, -1), (32, 0), (31, 1)]),
+    ]
+
+
+def test_insert_key_edge_cases_match_event_list(small_corpus):
+    far = [
+        transform(p, scale=10**12, dx=-(10**25), dy=-(10**25))
+        for p in small_corpus
+    ]
+    thin = [transform(p, scale=Fraction(3, 1000)) for p in small_corpus]
+    alone = [[p] for p in small_corpus[0]] + [[square("S", 0, 0, 4)]]
+    line = _starts_on_one_line()
+    assert validate(line).ok
+    assert nesting_forest(line).parent == brute_force_forest(line).parent
+    # The cases reach what they stress: coordinates past 64 bits, several
+    # denominators, and one start y.
+    assert all(abs(p.xs[0]) > 2**64 for p in far[0])
+    assert any(len({p.denominator for p in ps}) > 1 for ps in thin)
+    assert {s.polygon.ys[s.first] for s in _swept_segments(line)} == {0}
+    for polygons in far + thin + alone + [line]:
+        segments = _swept_segments(polygons)
+        assert _fields(build_events(segments)) == _fields(
+            event_list(segments)
+        )
 
 
 def test_sweep_holds_at_most_two_events():
